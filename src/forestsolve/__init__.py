@@ -45,6 +45,7 @@ from .forests import (
     enumerate_rooted_forests,
     forest_from_edges,
     forest_label,
+    forest_sum,
     inversion_count,
     upsilon,
     upsilon_rooted,

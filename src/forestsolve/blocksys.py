@@ -5,9 +5,13 @@ blocks followed by arbitrary trailing rows, with at most one nonzero constant
 per block.  One distinguished row per block is released and refilled so that
 the bordered matrix becomes realizable by a graph with no cross-block edges;
 the solution is then a ratio of double sums of forest products over root sets
-drawing one node per block.  Under sign hypotheses on the distinguished rows
-and a reachability condition on negative edges, every component is certified
-a quotient of coefficientwise-nonnegative polynomials.
+drawing one node per block.  No edge leaves a block for another block, so
+this block confinement fixes the root that each distinguished row drains
+into, and each forest sum is one signed minor of the graph's Laplacian
+(:func:`forests.forest_sum`); forest enumeration is the reference that the
+tests compare against.  Under sign hypotheses on the distinguished rows and
+a reachability condition on negative edges, every component is certified a
+quotient of coefficientwise-nonnegative polynomials.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .forests import upsilon
+from .forests import forest_sum
 from .linsys import LinearSystem, SingularSystemError, Solution
 from .multigraph import (
     Laplacian,
@@ -290,25 +294,37 @@ def build_acompatible(
 # the forest-product solution
 
 
-def root_sets(blocks: BlockStructure, skip: int | None = None) -> list[tuple[int, ...]]:
-    """Root sets drawing one node per block (plus m+1), lexicographic order.
+def _family_sum(
+    system: LinearSystem,
+    blocks: BlockStructure,
+    lap: Laplacian,
+    skip: int | None = None,
+    ell: int | None = None,
+) -> Polynomial:
+    """Weighted forest sum over the root sets that leave out slot ``skip``.
 
-    ``skip`` omits one block (1..d) or the bordering singleton (d+1).
+    A root set holds one node beta_i of every block i other than ``skip``,
+    the bordering node m+1 unless ``skip`` is d+1, and ``ell`` when a slot is
+    left out.  Its weight is the product of the entries a[j_i][beta_i].  By
+    block confinement each of its forests sends j_i to beta_i, m+1 to itself
+    and the left-out slot's node of F (j_k, or m+1 for k = d+1) to ``ell``,
+    so its forest sum is one signed minor of ``lap`` (:func:`forest_sum`).
     """
-    pools = [list(blocks.block_nodes(i)) for i in range(1, blocks.d + 1)]
-    pools.append([blocks.m + 1])
-    if skip is not None:
-        pools = pools[: skip - 1] + pools[skip:]
-    return [tuple(sorted(combo)) for combo in itertools.product(*pools)]
-
-
-def _block_pick(blocks: BlockStructure, chosen: tuple[int, ...], i: int) -> int:
-    """The unique element of ``chosen`` lying in block i."""
-    lo, hi = blocks.block_range(i)
-    for node in chosen:
-        if lo <= node <= hi:
-            return node
-    raise ValueError(f"no element of {chosen} in block {i}")
+    d, last = blocks.d, blocks.m + 1
+    kept = [i for i in range(1, d + 1) if i != skip]
+    total = Polynomial.zero()
+    for picks in itertools.product(*(blocks.block_nodes(i) for i in kept)):
+        w = Polynomial.one()
+        images = {} if skip == d + 1 else {last: last}
+        for i, beta in zip(kept, picks):
+            w = w * system.a[blocks.j[i - 1] - 1][beta - 1]
+            images[blocks.j[i - 1]] = beta
+        if w.is_zero():
+            continue
+        if skip is not None:
+            images[blocks.j[skip - 1] if skip <= d else last] = ell
+        total = total + w * forest_sum(lap, images)
+    return total
 
 
 def solve_block(
@@ -320,49 +336,30 @@ def solve_block(
     minus the distinguished constant times the forest sums rooted at a root
     set avoiding block k with l adjoined, weighted by the distinguished-row
     entries picked by the root set.  Denominator: the same weighted sum over
-    full root sets.
+    full root sets (:func:`block_denominator`).  No edge leaves a block for
+    another block, nor the tail for a block, so a family is empty, and is
+    skipped, when l lies in a block other than k, or when k is the bordering
+    slot and l is not in the tail.
     """
-    graph = witness.graph
-    f_set = blocks.distinguished()
-    d = blocks.d
-
-    def weight(chosen: tuple[int, ...], skip: int | None) -> Polynomial:
-        w = Polynomial.one()
-        for i in range(1, d + 1):
-            if i == skip:
-                continue
-            beta = _block_pick(blocks, chosen, i)
-            w = w * system.a[blocks.j[i - 1] - 1][beta - 1]
-        return w
-
-    den = Polynomial.zero()
-    for chosen in root_sets(blocks):
-        w = weight(chosen, None)
-        if w.is_zero():
-            continue
-        den = den + w * upsilon(graph, f_set, chosen)
+    den = block_denominator(system, blocks, witness)
     if den.is_zero():
         raise SingularSystemError("weighted forest sum vanishes")
-
+    d = blocks.d
     comps = []
     for ell in range(1, system.m + 1):
+        home = blocks.block_of(ell)
         num = Polynomial.zero()
         for k in range(1, d + 2):
+            if home not in (0, k):
+                continue
             minus_b = (
                 -system.b[blocks.j[k - 1] - 1] if k <= d else Polynomial.one()
             )
             if minus_b.is_zero():
                 continue
-            for chosen in root_sets(blocks, skip=k):
-                if ell in chosen:
-                    continue
-                w = weight(chosen, k if k <= d else None)
-                if w.is_zero():
-                    continue
-                value = upsilon(graph, f_set, tuple(sorted(chosen + (ell,))))
-                if value.is_zero():
-                    continue
-                num = num + minus_b * w * value
+            num = num + minus_b * _family_sum(
+                system, blocks, witness.laplacian, k, ell
+            )
         comps.append(ratio(num, den))
     return Solution(tuple(comps))
 
@@ -371,17 +368,7 @@ def block_denominator(
     system: LinearSystem, blocks: BlockStructure, witness: ACompatibleWitness
 ) -> Polynomial:
     """The weighted forest-sum denominator (relates to det(A) by a sign)."""
-    f_set = blocks.distinguished()
-    den = Polynomial.zero()
-    for chosen in root_sets(blocks):
-        w = Polynomial.one()
-        for i in range(1, blocks.d + 1):
-            beta = _block_pick(blocks, chosen, i)
-            w = w * system.a[blocks.j[i - 1] - 1][beta - 1]
-        if w.is_zero():
-            continue
-        den = den + w * upsilon(witness.graph, f_set, chosen)
-    return den
+    return _family_sum(system, blocks, witness.laplacian)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ A spanning forest rooted at a node set B assigns to every node outside B
 exactly one outgoing edge so that the resulting functional graph is acyclic;
 the components are then trees, each rooted at (draining into) one node of B.
 Forest sums aggregate the products of edge labels over such forests, either
-unsigned or weighted by the parity of the root-assignment bijection, and the
-signed sums coincide with minors of the graph Laplacian (checked exactly by
-:func:`all_minors_check`).
+unsigned or weighted by the parity of the root-assignment bijection.  The
+signed sums are signed Laplacian minors (all-minors matrix-tree theorem), so
+:func:`forest_sum` takes a family with a forced root assignment, as in block
+systems, as one determinant.  Enumeration is the reference that the tests
+compare against, and serves callers that need the individual forests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .multigraph import Edge, Laplacian, Multidigraph, laplacian_of
 from .symring import Polynomial, det_matrix
@@ -137,16 +139,18 @@ def forest_label(graph: Multidigraph, forest: Forest) -> Polynomial:
     return result
 
 
-def inversion_count(forest: Forest, contains: Sequence[int]) -> int:
-    """Inversions of the map sending each node of ``contains`` to its root."""
-    f = sorted(contains)
-    images = [forest.root_of(n) for n in f]
+def _inversions(seq: Sequence[int]) -> int:
     return sum(
         1
-        for a in range(len(f))
-        for b in range(a + 1, len(f))
-        if images[a] > images[b]
+        for a in range(len(seq))
+        for b in range(a + 1, len(seq))
+        if seq[a] > seq[b]
     )
+
+
+def inversion_count(forest: Forest, contains: Sequence[int]) -> int:
+    """Inversions of the map sending each node of ``contains`` to its root."""
+    return _inversions([forest.root_of(n) for n in sorted(contains)])
 
 
 def upsilon(graph: Multidigraph, contains: Iterable[int], roots: Iterable[int]) -> Polynomial:
@@ -194,6 +198,29 @@ def minor_det(lap: Laplacian, drop_rows: Iterable[int], drop_cols: Iterable[int]
         if i + 1 not in rows
     ]
     return det_matrix(sub)
+
+
+def forest_sum(lap: Laplacian, images: Mapping[int, int]) -> Polynomial:
+    """Forest sum with a forced root assignment, as one signed Laplacian minor.
+
+    F is the key set of ``images`` and B = images(F).  Returns (-1)^(eps + inv)
+    times the minor of ``lap`` without rows F and columns B, with eps as in
+    :func:`all_minors_check` and inv the inversions of the assignment.  By the
+    all-minors matrix-tree theorem this is :func:`upsilon` of (F, B), on any
+    graph whose Laplacian is ``lap``, whenever every forest of that family
+    puts each f in F in the tree rooted at ``images[f]``: always for |F| = 1,
+    and in block systems by block confinement.
+    """
+    f = sorted(images)
+    seq = [images[n] for n in f]
+    b = sorted(seq)
+    if len(set(b)) != len(b):
+        raise ValueError("root assignment is not injective")
+    if any(not (1 <= n <= lap.size) for n in f + b):
+        raise ValueError("root assignment has a node out of range")
+    minor = minor_det(lap, f, b)
+    eps = lap.size - len(f) + sum(f) + sum(b)
+    return minor if (eps + _inversions(seq)) % 2 == 0 else -minor
 
 
 def all_minors_check(

@@ -3,7 +3,10 @@
 Polynomials have arbitrary-precision rational coefficients (Fraction) and are
 kept in a canonical form: a sorted tuple of (exponent-map, coefficient) terms
 with no zero coefficients.  Equality is structural equality of the canonical
-form, so polynomial identity testing is fully reliable.
+form, so polynomial identity testing is fully reliable.  The public
+constructor validates outside input; arithmetic results are canonicalized
+once, without re-validation.  Determinants are memoized cofactor expansion
+only.
 
 The term order is graded lexicographic by variable name: higher total degree
 first, ties broken lexicographically on the sparse exponent vectors.  Any
@@ -58,9 +61,23 @@ class Sign(Enum):
         return self in (Sign.NONNEG, Sign.NONPOS)
 
 
-def _sort_key(exps: Exponents) -> tuple:
+def _term_key(term: tuple[Exponents, Fraction]) -> tuple:
     # Ascending sort under this key = descending graded-lex term order.
-    return (-sum(e for _, e in exps), tuple((name, -e) for name, e in exps))
+    degree = 0
+    negated = []
+    for name, e in term[0]:
+        degree += e
+        negated.append((name, -e))
+    return (-degree, negated)
+
+
+def _canonical_terms(terms: Mapping[Exponents, Fraction]) -> tuple:
+    """Nonzero terms in canonical order."""
+    # sorted in place and copied at its exact size: building the tuple from a
+    # generator resizes it as it grows and left peak RSS higher
+    items = [t for t in terms.items() if t[1]]
+    items.sort(key=_term_key)
+    return tuple(items)
 
 
 class Polynomial:
@@ -81,11 +98,15 @@ class Polynomial:
                     if not _NAME_RE.fullmatch(name):
                         raise ValueError(f"bad variable name {name!r}")
                 clean[exps] = coeff
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(clean.items(), key=lambda t: _sort_key(t[0]))),
-        )
+        object.__setattr__(self, "_terms", _canonical_terms(clean))
+
+    @staticmethod
+    def _build(terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Arithmetic result: its terms come from valid polynomials, so it is
+        only canonicalized, not validated again as :meth:`__init__` does."""
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "_terms", _canonical_terms(terms))
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -148,9 +169,6 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _as_dict(self) -> dict[Exponents, Fraction]:
-        return dict(self._terms)
-
     @staticmethod
     def _coerce(other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
@@ -163,15 +181,19 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out = self._as_dict()
+        if not q._terms:
+            return self
+        if not self._terms:
+            return q
+        out = dict(self._terms)
         for exps, coeff in q._terms:
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Polynomial(out)
+            out[exps] = out[exps] + coeff if exps in out else coeff
+        return Polynomial._build(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({exps: -coeff for exps, coeff in self._terms})
+        return Polynomial._build({exps: -coeff for exps, coeff in self._terms})
 
     def __sub__(self, other) -> "Polynomial":
         q = self._coerce(other)
@@ -193,8 +215,8 @@ class Polynomial:
         for e1, c1 in self._terms:
             for e2, c2 in q._terms:
                 exps = _mul_exps(e1, e2)
-                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+                out[exps] = out[exps] + c1 * c2 if exps in out else c1 * c2
+        return Polynomial._build(out)
 
     __rmul__ = __mul__
 
@@ -228,14 +250,20 @@ class Polynomial:
 
     def evaluate(self, point: Mapping[str, int | Fraction]) -> Fraction:
         """Exact value at a point assigning a rational to every variable."""
+        # each term's numerator and denominator as integer products, so one
+        # Fraction is normalized per term rather than one per factor
+        values: dict[str, Fraction] = {}
         total = Fraction(0)
         for exps, coeff in self._terms:
-            val = coeff
+            num, den = coeff.numerator, coeff.denominator
             for name, e in exps:
-                if name not in point:
-                    raise MissingVariableError(name)
-                val *= Fraction(point[name]) ** e
-            total += val
+                if name not in values:
+                    if name not in point:
+                        raise MissingVariableError(name)
+                    values[name] = Fraction(point[name])
+                num *= values[name].numerator ** e
+                den *= values[name].denominator ** e
+            total += Fraction(num, den)
         return total
 
     def __str__(self) -> str:
@@ -444,28 +472,17 @@ def rat_equal(a: RationalExpr, b: RationalExpr) -> bool:
 # ---------------------------------------------------------------------------
 # determinants of polynomial matrices
 
-_BAREISS_THRESHOLD = 8
-
 
 def det_matrix(rows: list[list[Polynomial]]) -> Polynomial:
     """Exact determinant of a square matrix of polynomials.
 
-    Cofactor expansion with subset memoization up to 8x8, fraction-free
-    Bareiss elimination (exact divisions) above.
+    Cofactor expansion along the rows, memoized on the set of columns still
+    unused: 2^n minors of at most n products each, and no division.
     """
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 0:
-        return Polynomial.one()
-    if n <= _BAREISS_THRESHOLD:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
-
-
-def _det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
-    n = len(rows)
     memo: dict[tuple[int, ...], Polynomial] = {(): Polynomial.one()}
 
     def minor(cols: tuple[int, ...]) -> Polynomial:
@@ -484,52 +501,6 @@ def _det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
         return total
 
     return minor(tuple(range(n)))
-
-
-def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Quotient p/q when q divides p exactly; raises otherwise."""
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient = Polynomial.zero()
-    r = p
-    lq, cq = q.leading() if not q.is_zero() else ((), Fraction(1))
-    lq_map = dict(lq)
-    while not r.is_zero():
-        lr, cr = r.leading()
-        emap = dict(lr)
-        for name, e in lq_map.items():
-            if emap.get(name, 0) < e:
-                raise ArithmeticError("inexact polynomial division")
-            emap[name] -= e
-            if emap[name] == 0:
-                del emap[name]
-        t = Polynomial({tuple(sorted(emap.items())): cr / cq})
-        quotient = quotient + t
-        r = r - t * q
-    return quotient
-
-
-def _det_bareiss(rows: list[list[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for swap in range(k + 1, n):
-                if not m[swap][k].is_zero():
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = divide_exact(num, prev)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign > 0 else -result
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from forestsolve import (
     BlockStructure,
@@ -13,6 +15,10 @@ from forestsolve import (
     Polynomial,
     parse_poly,
 )
+
+# The same examples on every run, and no example database on disk.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 P = parse_poly
 C = Polynomial.constant
@@ -235,6 +241,18 @@ def random_block_system(
         except ValueError:
             continue
         return system, BlockStructure(tuple(sizes), m0, j)
+
+
+def root_sets(blocks: BlockStructure, skip: int | None = None) -> list[tuple[int, ...]]:
+    """Root sets drawing one node per block (plus m+1), lexicographic order.
+
+    ``skip`` omits one block (1..d) or the bordering singleton (d+1).
+    """
+    pools = [list(blocks.block_nodes(i)) for i in range(1, blocks.d + 1)]
+    pools.append([blocks.m + 1])
+    if skip is not None:
+        pools = pools[: skip - 1] + pools[skip:]
+    return [tuple(sorted(combo)) for combo in itertools.product(*pools)]
 
 
 def random_certificate_cases(rng: random.Random, count: int):

@@ -17,6 +17,7 @@ from forestsolve import (
     choose_j,
     cramer_oracle,
     enumerate_forests,
+    forest_sum,
     is_nonneg,
     parse_poly,
     rat_equal,
@@ -28,11 +29,11 @@ from forestsolve import (
     validate_block_form,
     zero_components,
 )
-from forestsolve.blocksys import block_denominator, root_sets
-from forestsolve.forests import enumerate_rooted_forests
+from forestsolve.blocksys import block_denominator
+from forestsolve.forests import enumerate_rooted_forests, upsilon
 from forestsolve.symring import det_matrix
 
-from conftest import ZERO, C, random_block_system, zvar
+from conftest import ZERO, C, random_block_system, root_sets, zvar
 
 P = parse_poly
 
@@ -199,6 +200,81 @@ class TestSolveBlock:
             det_a = det_matrix([list(r) for r in system.a])
             sign = 1 if (system.m - blocks.d) % 2 == 0 else -1
             assert den == (det_a if sign == 1 else -det_a)
+
+
+def block_families(blocks: BlockStructure):
+    """Every (root set, forced root assignment) of the block solution.
+
+    Yields the denominator's full root sets, then for each variable l and
+    slot k (block 1..d, or d+1 for the bordering node) the root sets that
+    leave out slot k and hold l.  The assignment is None where block
+    confinement empties the family: l lies in a block other than k, or k is
+    the bordering slot and l is not in the tail.
+    """
+    d, last = blocks.d, blocks.m + 1
+
+    def images(chosen, k=None, ell=None):
+        out = {last: last} if k != d + 1 else {}
+        for i in range(1, d + 1):
+            if i != k:
+                lo, hi = blocks.block_range(i)
+                out[blocks.j[i - 1]] = next(n for n in chosen if lo <= n <= hi)
+        if k is not None:
+            out[blocks.j[k - 1] if k <= d else last] = ell
+        return out
+
+    for chosen in root_sets(blocks):
+        yield chosen, images(chosen)
+    for ell in range(1, blocks.m + 1):
+        home = blocks.block_of(ell)
+        for k in range(1, d + 2):
+            for chosen in root_sets(blocks, skip=k):
+                if ell in chosen:
+                    continue
+                roots = tuple(sorted(chosen + (ell,)))
+                yield roots, (images(chosen, k, ell) if home in (0, k) else None)
+
+
+class TestFamilyMinors:
+    """Block forest sums as signed minors, against forest enumeration."""
+
+    def _cases(self, fixtures):
+        rng = random.Random(54)
+        cases = list(fixtures)
+        while len(cases) < len(fixtures) + 12:
+            system, blocks = random_block_system(rng)
+            if blocks.d:
+                cases.append((system, blocks))
+        return cases
+
+    def test_forest_sum_equals_upsilon(self, block_three_system, five_var_system):
+        tail_hits = 0
+        for system, blocks in self._cases([block_three_system, five_var_system]):
+            assert blocks.m0 > 0
+            witness = build_acompatible(system, blocks)
+            f_set = blocks.distinguished()
+            for roots, images in block_families(blocks):
+                if images is None:
+                    continue
+                assert sorted(images.values()) == list(roots)
+                tail_hits += any(
+                    blocks.block_of(n) == 0 and n <= blocks.m for n in roots
+                )
+                assert forest_sum(witness.laplacian, images) == upsilon(
+                    witness.graph, f_set, roots
+                )
+        assert tail_hits
+
+    def test_skipped_families_are_empty(self, block_three_system, five_var_system):
+        skipped = 0
+        for system, blocks in self._cases([block_three_system, five_var_system]):
+            witness = build_acompatible(system, blocks)
+            f_set = blocks.distinguished()
+            for roots, images in block_families(blocks):
+                if images is None:
+                    skipped += 1
+                    assert enumerate_forests(witness.graph, f_set, roots) == []
+        assert skipped
 
 
 class TestStructuralFacts:

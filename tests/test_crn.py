@@ -305,3 +305,52 @@ class TestParameterize:
         with pytest.raises(NonlinearSystemError) as err:
             parameterize(net, SteadyStateTask(solve_for=("A", "B")))
         assert "A" in str(err.value)
+
+
+def nsite_network_and_task(n: int):
+    """Sequential n-site phosphorylation with kinase E and phosphatase F.
+
+    The unknowns are E, ES0..ES(n-1), F, FS1..FSn; the substrates S0..Sn are
+    parameters, the two enzyme totals replace rows E and F, and the
+    substrate rows are dropped.
+    """
+    unknowns = ["E"] + [f"ES{i}" for i in range(n)] + ["F"] + [f"FS{i}" for i in range(1, n + 1)]
+    substrates = [f"S{i}" for i in range(n + 1)]
+    lines = ["species: " + ", ".join(unknowns + substrates)]
+    for i in range(n):
+        lines.append(f"S{i} + E <-> ES{i} ; a{i}, b{i}")
+        lines.append(f"ES{i} -> S{i + 1} + E ; c{i}")
+    for i in range(1, n + 1):
+        lines.append(f"S{i} + F <-> FS{i} ; d{i}, e{i}")
+        lines.append(f"FS{i} -> S{i - 1} + F ; f{i}")
+    net = parse_network("\n".join(lines) + "\n")
+    laws = conservation_laws(net)
+    e_law = [int(s == "E" or s.startswith("ES")) for s in net.species]
+    f_law = [int(s == "F" or s.startswith("FS")) for s in net.species]
+    task = SteadyStateTask(
+        solve_for=tuple(unknowns),
+        parameters=tuple(substrates),
+        conservation=(
+            ConservationUse(1, laws.index(e_law) + 1, "Etot"),
+            ConservationUse(n + 2, laws.index(f_law) + 1, "Ftot"),
+        ),
+        drop=tuple(range(2 * n + 3, 3 * n + 4)),
+    )
+    return net, task
+
+
+class TestNSite:
+    def test_cramer_oracle_at_n4_matches_parameterization(self):
+        n = 4
+        net, task = nsite_network_and_task(n)
+        report = parameterize(net, task, blocks=BlockStructure((n + 1, n + 1), 0, (1, n + 2)))
+        assert report.certified and report.system.m == 10
+        oracle = cramer_oracle(report.system)
+        names = sorted(
+            {v for comp in oracle for v in comp.numerator.variables() + comp.denominator.variables()}
+        )
+        rng = random.Random(64)
+        for _ in range(2):
+            point = {v: Fraction(rng.randint(1, 30), rng.randint(1, 10)) for v in names}
+            for name, comp in zip(task.solve_for, oracle):
+                assert report.solution[name].evaluate(point) == comp.evaluate(point)

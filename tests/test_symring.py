@@ -1,9 +1,11 @@
 """Polynomial arithmetic, signs, rational expressions, parsing, determinants."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forestsolve import (
     MissingVariableError,
@@ -19,7 +21,6 @@ from forestsolve import (
     rat_equal,
     ratio,
 )
-from forestsolve.symring import divide_exact
 
 from conftest import random_polynomial, zvar
 
@@ -63,6 +64,43 @@ class TestArithmetic:
             p = random_polynomial(rng)
             rebuilt = Polynomial(dict(p.terms))
             assert rebuilt.terms == p.terms
+
+
+_EXPONENTS = st.dictionaries(
+    st.sampled_from(["z1", "z2", "z3"]), st.integers(1, 3), max_size=3
+).map(lambda d: tuple(sorted(d.items())))
+_TERM_DICTS = st.dictionaries(
+    _EXPONENTS, st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=6
+)
+
+
+class TestKernelAgainstPublicConstructor:
+    """Arithmetic results, built without validation, equal ``Polynomial(dict)``."""
+
+    @staticmethod
+    def _check(result: Polynomial, reference: dict) -> None:
+        assert result.terms == Polynomial(reference).terms
+        assert all(type(c) is Fraction for _, c in result.terms)
+
+    @given(_TERM_DICTS, _TERM_DICTS)
+    def test_sum_and_difference(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        for sign, result in ((1, p + q), (-1, p - q)):
+            ref = dict(p.terms)
+            for exps, c in q.terms:
+                ref[exps] = ref.get(exps, 0) + sign * c
+            self._check(result, ref)
+        self._check(-p, {e: -c for e, c in p.terms})
+
+    @given(_TERM_DICTS, _TERM_DICTS)
+    def test_product(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        ref: dict = {}
+        for e1, c1 in p.terms:
+            for e2, c2 in q.terms:
+                exps = tuple(sorted((Counter(dict(e1)) + Counter(dict(e2))).items()))
+                ref[exps] = ref.get(exps, 0) + c1 * c2
+        self._check(p * q, ref)
 
 
 class TestSign:
@@ -254,9 +292,3 @@ class TestDeterminant:
 
     def test_empty_matrix(self):
         assert det_matrix([]) == Polynomial.one()
-
-    def test_divide_exact(self):
-        p = P("(z1 + 2*z2)*(z3 - z4)")
-        assert divide_exact(p, P("z1 + 2*z2")) == P("z3 - z4")
-        with pytest.raises(ArithmeticError):
-            divide_exact(P("z1 + 1"), P("z2"))
