@@ -52,7 +52,6 @@ from .forests import (
     upsilon_signed,
 )
 from .linsys import (
-    LaplacianMismatchError,
     LinearSystem,
     SingularSystemError,
     Solution,

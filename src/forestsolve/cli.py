@@ -2,8 +2,9 @@
 
 Exit codes are part of the contract: 0 success (or certified), 1 no
 certificate found, 2 input error, 3 internal invariant failure (an oracle
-disagreement).  All randomized commands take an explicit seed and produce
-byte-identical output for identical inputs.
+disagreement).  Each subcommand accepts only the options its handler reads.
+The one randomized command, ``mtt-check``, takes an explicit seed, and every
+command prints byte-identical output for identical inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 import os
 import random
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import blocksys, crn, forests, linsys, multigraph, pgraph
 from .symring import ParseError, rat_equal
@@ -55,13 +56,8 @@ def _emit_json(payload: dict, args) -> None:
     _write_output(json.dumps(payload, sort_keys=True, indent=2), args.output)
 
 
-def _load_system(args) -> tuple[linsys.LinearSystem, dict]:
-    data = json.loads(_read_input(args.input))
-    system = linsys.system_from_json(data)
-    if getattr(args, "permute_rows", None):
-        order = [int(tok) for tok in args.permute_rows.split(",")]
-        system = linsys.permute_rows(system, order)
-    return system, data
+def _load_json(args):
+    return json.loads(_read_input(args.input))
 
 
 def _witness_payload(witness: pgraph.PGraphWitness) -> dict:
@@ -82,13 +78,17 @@ def _solution_payload(solution: linsys.Solution) -> list[str]:
     return [str(c) for c in solution]
 
 
-# ---------------------------------------------------------------------------
-# commands
+def _report_solution(
+    args,
+    system: linsys.LinearSystem,
+    solution: linsys.Solution,
+    dot_graph: Callable[[], multigraph.Multidigraph],
+) -> int:
+    """Oracle check and output shared by ``solve`` and ``block-solve``.
 
-
-def _cmd_solve(args) -> int:
-    system, _ = _load_system(args)
-    solution = linsys.solve_by_trees(system)
+    ``--oracle`` asks for agreement with Cramer's rule and for a vanishing
+    exact residual, the one check that shares no code with the block solver.
+    """
     payload = {"solution": _solution_payload(solution)}
     if args.oracle:
         oracle = linsys.cramer_oracle(system)
@@ -100,8 +100,7 @@ def _cmd_solve(args) -> int:
             _emit_json(payload, args)
             return EXIT_INTERNAL
     if args.format == "dot":
-        lap = linsys.bordered_laplacian(system)
-        _write_output(multigraph.to_dot(multigraph.canonical_graph(lap)), args.output)
+        _write_output(multigraph.to_dot(dot_graph()), args.output)
     elif args.format == "text":
         lines = [
             f"{name} = {comp}"
@@ -113,13 +112,17 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_certify(args) -> int:
-    system, _ = _load_system(args)
-    outcome = pgraph.certify_nonneg(system)
+def _report_certified(
+    args,
+    outcome: tuple[linsys.Solution, pgraph.PGraphWitness] | None,
+    blocks: blocksys.BlockStructure | None = None,
+) -> int:
+    """Output shared by ``certify`` and ``block-certify``.
+
+    A block certificate also lists the components that vanish identically.
+    """
     if outcome is None:
-        payload = {"certified": False, "witness": None, "solution": None}
-        _emit_json(payload, args)
-        log.info("no certificate graph at monomial granularity")
+        _emit_json({"certified": False, "witness": None, "solution": None}, args)
         return EXIT_NO_WITNESS
     solution, witness = outcome
     if args.format == "dot":
@@ -130,12 +133,39 @@ def _cmd_certify(args) -> int:
         "witness": _witness_payload(witness),
         "solution": _solution_payload(solution),
     }
+    if blocks is not None:
+        payload["zero_components"] = sorted(blocksys.zero_components(witness, blocks))
     _emit_json(payload, args)
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _cmd_solve(args) -> int:
+    system = linsys.system_from_json(_load_json(args))
+    if args.permute_rows:
+        order = [int(tok) for tok in args.permute_rows.split(",")]
+        system = linsys.permute_rows(system, order)
+    solution = linsys.solve_by_trees(system)
+    return _report_solution(
+        args,
+        system,
+        solution,
+        lambda: multigraph.canonical_graph(linsys.bordered_laplacian(system)),
+    )
+
+
+def _cmd_certify(args) -> int:
+    outcome = pgraph.certify_nonneg(linsys.system_from_json(_load_json(args)))
+    if outcome is None:
+        log.info("no certificate graph at monomial granularity")
+    return _report_certified(args, outcome)
+
+
 def _load_block_system(args) -> tuple[linsys.LinearSystem, blocksys.BlockStructure]:
-    data = json.loads(_read_input(args.input))
+    data = _load_json(args)
     system = linsys.system_from_json(data)
     spec = data.get("blocks")
     if spec is None:
@@ -162,24 +192,7 @@ def _cmd_block_solve(args) -> int:
         print("no compatible graph from the heuristic", file=sys.stderr)
         return EXIT_NO_WITNESS
     solution = blocksys.solve_block(system, blocks, witness)
-    payload = {"solution": _solution_payload(solution)}
-    if args.oracle:
-        oracle = linsys.cramer_oracle(system)
-        agree = all(rat_equal(a, b) for a, b in zip(solution, oracle))
-        payload["oracle_agrees"] = agree
-        if not agree:
-            _emit_json(payload, args)
-            return EXIT_INTERNAL
-    if args.format == "dot":
-        _write_output(multigraph.to_dot(witness.graph), args.output)
-    elif args.format == "text":
-        lines = [
-            f"{name} = {comp}" for name, comp in zip(system.variables, solution)
-        ]
-        _write_output("\n".join(lines), args.output)
-    else:
-        _emit_json(payload, args)
-    return EXIT_OK
+    return _report_solution(args, system, solution, lambda: witness.graph)
 
 
 def _cmd_block_certify(args) -> int:
@@ -199,22 +212,7 @@ def _cmd_block_certify(args) -> int:
         }
         _emit_json(payload, args)
         return EXIT_NO_WITNESS
-    if outcome is None:
-        _emit_json({"certified": False, "witness": None, "solution": None}, args)
-        return EXIT_NO_WITNESS
-    solution, witness = outcome
-    zero_set = blocksys.zero_components(witness, blocks)
-    if args.format == "dot":
-        _write_output(multigraph.to_dot(witness.graph), args.output)
-        return EXIT_OK
-    payload = {
-        "certified": True,
-        "witness": _witness_payload(witness),
-        "solution": _solution_payload(solution),
-        "zero_components": sorted(zero_set),
-    }
-    _emit_json(payload, args)
-    return EXIT_OK
+    return _report_certified(args, outcome, blocks)
 
 
 def _cmd_mtt_check(args) -> int:
@@ -284,7 +282,7 @@ def _cmd_crn_param(args) -> int:
 
 
 def _cmd_graph_dot(args) -> int:
-    data = json.loads(_read_input(args.input))
+    data = _load_json(args)
     if "edges" in data and "nodes" in data:
         graph = multigraph.graph_from_json(data)
     else:
@@ -298,15 +296,11 @@ def _cmd_graph_dot(args) -> int:
 # argument wiring
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_io(parser: argparse.ArgumentParser, *formats: str) -> None:
     parser.add_argument("--input", "-i", default=None, help="input file (default stdin)")
     parser.add_argument("--output", "-o", default=None, help="output file (default stdout)")
-    parser.add_argument(
-        "--format", choices=("json", "text", "dot"), default="json"
-    )
-    parser.add_argument("--oracle", action="store_true", help="cross-check the result")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=64, help="search budget")
+    if formats:
+        parser.add_argument("--format", choices=formats, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,31 +312,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a system by rooted tree sums")
-    _add_common(p)
+    _add_io(p, "json", "text", "dot")
+    p.add_argument("--oracle", action="store_true", help="cross-check the result")
     p.add_argument("--permute-rows", default=None, help="row order, e.g. 2,1,3")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("certify", help="certify a nonnegative solution")
-    _add_common(p)
+    _add_io(p, "json", "dot")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("block-solve", help="solve a block-structured system")
-    _add_common(p)
+    _add_io(p, "json", "text", "dot")
+    p.add_argument("--oracle", action="store_true", help="cross-check the result")
     p.set_defaults(func=_cmd_block_solve)
 
     p = sub.add_parser("block-certify", help="certify a block-structured system")
-    _add_common(p)
+    _add_io(p, "json", "dot")
+    p.add_argument("--budget", type=int, default=64, help="search budget")
     p.set_defaults(func=_cmd_block_certify)
 
     p = sub.add_parser("mtt-check", help="randomized minor/forest-sum self-check")
-    _add_common(p)
+    p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", type=int, default=200, help="number of graphs")
     p.add_argument("--nodes", type=int, default=5, help="max nodes per graph")
     p.add_argument("--edges", type=int, default=10, help="max edges per graph")
     p.set_defaults(func=_cmd_mtt_check)
 
     p = sub.add_parser("crn-param", help="steady-state parameterization")
-    _add_common(p)
+    _add_io(p, "json", "dot")
+    p.add_argument("--budget", type=int, default=64, help="search budget")
     p.add_argument("--solve-for", dest="solve_for", default=None)
     p.add_argument("--parameters", default=None)
     p.add_argument(
@@ -355,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_crn_param)
 
     p = sub.add_parser("graph-dot", help="DOT rendering of a graph or system")
-    _add_common(p)
+    _add_io(p)
     p.set_defaults(func=_cmd_graph_dot)
 
     return parser

@@ -10,10 +10,11 @@ certification machinery to produce a certified positive parameterization.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .blocksys import (
     BlockHypothesisError,
@@ -195,13 +196,40 @@ def conservation_laws(net: Network) -> list[list[int]]:
     matrix = stoichiometric_matrix(net)
     n_species = len(net.species)
     # kernel of the transpose, over the rationals
-    rows = [
+    rows, pivots = _row_reduce(
         [Fraction(matrix[s][r]) for s in range(n_species)]
         for r in range(len(net.reactions))
-    ]
+    )
+    basis: list[list[int]] = []
+    free = [c for c in range(n_species) if c not in pivots]
+    for c in free:
+        vec = [Fraction(0)] * n_species
+        vec[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][c]
+        # No gcd pass: entry c scales to the lcm, and for each prime power
+        # p^k of the lcm, the entry whose denominator holds p^k scales to a
+        # value prime to p, so the integer vector is already primitive.
+        lcm = math.lcm(*(v.denominator for v in vec))
+        ints = [int(v * lcm) for v in vec]
+        lead = next(v for v in ints if v != 0)
+        if lead < 0:
+            ints = [-v for v in ints]
+        basis.append(ints)
+    return basis
+
+
+def _row_reduce(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form over the rationals, and its pivot columns.
+
+    The rank is the number of pivots; the input rows are not modified.
+    """
+    rows = [list(row) for row in rows]
     pivots: list[int] = []
-    rank = 0
-    for col in range(n_species):
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         pivot = next(
             (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
         )
@@ -215,33 +243,7 @@ def conservation_laws(net: Network) -> list[list[int]]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
-    basis: list[list[int]] = []
-    free = [c for c in range(n_species) if c not in pivots]
-    for c in free:
-        vec = [Fraction(0)] * n_species
-        vec[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][c]
-        lcm = 1
-        for v in vec:
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in vec]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(ints)
-    return basis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -439,37 +441,16 @@ def validate_dropped_rows(
     for _ in range(trials):
         point = {name: Fraction(rng.randint(1, 1000), rng.randint(1, 50)) for name in sorted(symbols)}
         base = [[p.evaluate(point) for p in row] for row in retained]
-        r0 = _rank(base)
+        r0 = len(_row_reduce(base)[1])
         for s, row in dropped_rows:
             vals = [p.evaluate(point) for p in row]
-            if _rank(base + [vals]) > r0:
+            if len(_row_reduce(base + [vals])[1]) > r0:
                 problems.append(
                     f"dropped row {s} is independent of the retained rows"
                 )
         if problems:
             break
     return problems
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def parameterize(

@@ -2,18 +2,19 @@
 
 The system is bordered into an (m+1)x(m+1) zero-column-sum matrix whose graph
 realizations carry the solution in their spanning trees: component i is the
-quotient of the tree sums rooted at i and at m+1.  An independent Cramer
-oracle (exact determinants) cross-checks every solver path.
+quotient of the tree sums rooted at i and at m+1.  A Cramer oracle (exact
+determinants) and an exact residual substitution cross-check every solver
+path.  The block solver takes its sums as determinants too, so for it the
+residual is the check that shares no code with the solver.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .forests import upsilon_rooted
-from .multigraph import Laplacian, Multidigraph, canonical_graph, laplacian_of
+from .multigraph import Laplacian, canonical_graph
 from .symring import (
     Polynomial,
     RationalExpr,
@@ -25,10 +26,6 @@ from .symring import (
 
 class SingularSystemError(ValueError):
     """The coefficient matrix has zero determinant (as a polynomial)."""
-
-
-class LaplacianMismatchError(ValueError):
-    """The supplied graph does not realize the system's bordered matrix."""
 
 
 @dataclass(frozen=True)
@@ -99,19 +96,13 @@ def bordered_laplacian(system: LinearSystem) -> Laplacian:
     return Laplacian(rows)
 
 
-def solve_by_trees(
-    system: LinearSystem, graph: Multidigraph | None = None
-) -> Solution:
-    """Solve by spanning-tree sums on a graph realizing the bordered matrix.
+def solve_by_trees(system: LinearSystem) -> Solution:
+    """Solve by spanning-tree sums on the canonical graph of the bordered matrix.
 
-    Any graph with that matrix gives the same answer; the canonical graph is
-    used when none is supplied.
+    Every graph realizing that matrix has the same rooted tree sums, so the
+    choice of graph does not change the answer.
     """
-    lap = bordered_laplacian(system)
-    if graph is None:
-        graph = canonical_graph(lap)
-    elif laplacian_of(graph) != lap:
-        raise LaplacianMismatchError("graph does not realize the bordered matrix")
+    graph = canonical_graph(bordered_laplacian(system))
     m = system.m
     den = upsilon_rooted(graph, m + 1)
     if den.is_zero():
@@ -138,16 +129,22 @@ def cramer_oracle(system: LinearSystem) -> Solution:
 
 
 def residual_check(system: LinearSystem, solution: Solution) -> bool:
-    """Exact check that A*x + b is the zero vector."""
+    """Exact check that A*x + b is the zero vector.
+
+    Each row first sums the numerators of the terms that share a
+    denominator, so components over one common denominator D cost one
+    product by D instead of a product of m copies of D.
+    """
     if len(solution) != system.m:
         return False
     for i in range(system.m):
-        acc = ratio(system.b[i], Polynomial.one())
-        for j in range(system.m):
-            term = ratio(
-                system.a[i][j] * solution[j].numerator, solution[j].denominator
-            )
-            acc = acc + term
+        by_den = {Polynomial.one(): system.b[i]}
+        for a_ij, x in zip(system.a[i], solution):
+            num = by_den.get(x.denominator, Polynomial.zero())
+            by_den[x.denominator] = num + a_ij * x.numerator
+        acc = ratio(Polynomial.zero(), Polynomial.one())
+        for den, num in by_den.items():
+            acc = acc + ratio(num, den)
         if not acc.is_zero():
             return False
     return True
@@ -181,7 +178,3 @@ def system_from_json(data: Mapping) -> LinearSystem:
     a = [[parse_poly(s) for s in row] for row in data["A"]]
     b = [parse_poly(s) for s in data["b"]]
     return LinearSystem.build(variables, a, b)
-
-
-def dump_system(system: LinearSystem) -> str:
-    return json.dumps(system_to_json(system), sort_keys=True, indent=2)

@@ -12,7 +12,6 @@ j -> i, and diagonal entries make every column sum to zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -75,9 +74,6 @@ class Multidigraph:
 
     def edge(self, eid: int) -> Edge:
         return self._by_id[eid]
-
-    def has_edge_id(self, eid: int) -> bool:
-        return eid in self._by_id
 
     def out_edges(self, node: int) -> tuple[Edge, ...]:
         return self._out[node]
@@ -339,10 +335,6 @@ def graph_from_json(data: Mapping) -> Multidigraph:
         (e["src"], e["tgt"], parse_poly(e["label"])) for e in data["edges"]
     ]
     return Multidigraph.from_edges(int(data["nodes"]), triples)
-
-
-def dump_graph(graph: Multidigraph) -> str:
-    return json.dumps(graph_to_json(graph), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .forests import (
     Forest,
-    enumerate_forests,
     enumerate_rooted_forests,
     forest_from_edges,
-    forest_label,
     upsilon_rooted,
 )
 from .linsys import (
@@ -42,7 +40,6 @@ from .multigraph import (
     Laplacian,
     Multidigraph,
     canonical_graph,
-    laplacian_of,
     node_cycles,
     simple_cycles,
 )
@@ -533,17 +530,6 @@ def _roots_member(roots: tuple[int, ...]) -> Callable[[Forest], bool]:
     return check
 
 
-def _roots_and_spread_member(
-    contains: tuple[int, ...], roots: tuple[int, ...]
-) -> Callable[[Forest], bool]:
-    def check(forest: Forest) -> bool:
-        if forest.roots != roots:
-            return False
-        return len({forest.root_of(n) for n in contains}) == len(contains)
-
-    return check
-
-
 def lambda_forests(witness: PGraphWitness, roots: Iterable[int]) -> list[Forest]:
     """Forests rooted at the given set admitting no backward replacement."""
     b = tuple(sorted(set(roots)))
@@ -551,20 +537,6 @@ def lambda_forests(witness: PGraphWitness, roots: Iterable[int]) -> list[Forest]
     return [
         zeta
         for zeta in enumerate_rooted_forests(witness.graph, b)
-        if not max_replacement_set(witness, zeta, member)
-    ]
-
-
-def lambda_forests_constrained(
-    witness: PGraphWitness, contains: Iterable[int], roots: Iterable[int]
-) -> list[Forest]:
-    """Replacement-maximal forests within the one-marked-node-per-tree family."""
-    f = tuple(sorted(set(contains)))
-    b = tuple(sorted(set(roots)))
-    member = _roots_and_spread_member(f, b)
-    return [
-        zeta
-        for zeta in enumerate_forests(witness.graph, f, b)
         if not max_replacement_set(witness, zeta, member)
     ]
 
@@ -602,24 +574,6 @@ def positive_upsilon(witness: PGraphWitness, root: int) -> Polynomial:
     graph = witness.graph
     total = Polynomial.zero()
     for zeta in lambda_forests(witness, (root,)):
-        term = Polynomial.one()
-        for eid in zeta.edge_ids:
-            label = graph.edge(eid).label
-            if poly_sign(label) == Sign.NONPOS:
-                term = term * witness.group_sums[eid]
-            else:
-                term = term * label
-        total = total + term
-    return total
-
-
-def positive_upsilon_forests(
-    witness: PGraphWitness, contains: Iterable[int], roots: Iterable[int]
-) -> Polynomial:
-    """Positive-expansion forest sum for the constrained forest family."""
-    graph = witness.graph
-    total = Polynomial.zero()
-    for zeta in lambda_forests_constrained(witness, contains, roots):
         term = Polynomial.one()
         for eid in zeta.edge_ids:
             label = graph.edge(eid).label

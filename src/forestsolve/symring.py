@@ -142,19 +142,6 @@ class Polynomial:
         names = {name for exps, _ in self._terms for name, _ in exps}
         return tuple(sorted(names))
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in exps) for exps, _ in self._terms)
-
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for exps, _ in self._terms:
-            for n, e in exps:
-                if n == name:
-                    deg = max(deg, e)
-        return deg
-
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
         for exps, coeff in self._terms:

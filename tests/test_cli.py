@@ -1,11 +1,21 @@
 """Command-line behaviour: payloads, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from forestsolve import cli, system_to_json
-from forestsolve.linsys import dump_system
+from forestsolve import (
+    Solution,
+    blocksys,
+    cli,
+    cramer_oracle,
+    linsys,
+    ratio,
+    system_to_json,
+)
 
 from conftest import CRN_TEXT
 
@@ -13,7 +23,7 @@ from conftest import CRN_TEXT
 @pytest.fixture
 def system_file(tmp_path, three_var_system):
     path = tmp_path / "system.json"
-    path.write_text(dump_system(three_var_system))
+    path.write_text(json.dumps(system_to_json(three_var_system)))
     return str(path)
 
 
@@ -30,7 +40,7 @@ def block_file(tmp_path, block_three_system):
 @pytest.fixture
 def mmatrix_file(tmp_path, mmatrix_system):
     path = tmp_path / "mmatrix.json"
-    path.write_text(dump_system(mmatrix_system))
+    path.write_text(json.dumps(system_to_json(mmatrix_system)))
     return str(path)
 
 
@@ -102,6 +112,22 @@ class TestBlockCommands:
         payload = json.loads(out)
         assert payload["oracle_agrees"] is True
 
+    def test_block_oracle_needs_vanishing_residual(
+        self, capsys, monkeypatch, block_file, block_three_system
+    ):
+        # The block solver and Cramer's rule share det_matrix, so a wrong
+        # answer from both must still fail on the exact residual.
+        system, _ = block_three_system
+        right = cramer_oracle(system)
+        x1 = right[0]
+        wrong_x1 = ratio(x1.numerator + x1.denominator, x1.denominator)  # x1 + 1
+        wrong = Solution((wrong_x1,) + right.components[1:])
+        monkeypatch.setattr(blocksys, "solve_block", lambda *args: wrong)
+        monkeypatch.setattr(linsys, "cramer_oracle", lambda *args: wrong)
+        code, out, _ = run(capsys, ["block-solve", "--input", block_file, "--oracle"])
+        assert code == 3
+        assert json.loads(out)["oracle_agrees"] is False
+
     def test_block_certify(self, capsys, block_file):
         code, out, _ = run(capsys, ["block-certify", "--input", block_file])
         assert code == 0
@@ -112,7 +138,7 @@ class TestBlockCommands:
     def test_blocks_default_to_proposal(self, capsys, tmp_path, block_three_system):
         system, _ = block_three_system
         path = tmp_path / "noblocks.json"
-        path.write_text(dump_system(system))
+        path.write_text(json.dumps(system_to_json(system)))
         code, out, _ = run(capsys, ["block-certify", "--input", str(path)])
         assert code == 0
         assert json.loads(out)["certified"] is True
@@ -208,3 +234,34 @@ class TestErrors:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["solution"]
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--oracle"],
+            ["certify", "--format", "text"],
+            ["graph-dot", "--budget", "3"],
+            ["mtt-check", "--input", "x"],
+            ["solve", "--seed", "1"],
+        ],
+    )
+    def test_flag_the_command_ignores_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("forestsolve ")]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
+        assert {argv[0] for argv in commands} == {
+            "solve", "certify", "block-solve", "block-certify",
+            "mtt-check", "crn-param", "graph-dot",
+        }

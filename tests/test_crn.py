@@ -354,3 +354,15 @@ class TestNSite:
             point = {v: Fraction(rng.randint(1, 30), rng.randint(1, 10)) for v in names}
             for name, comp in zip(task.solve_for, oracle):
                 assert report.solution[name].evaluate(point) == comp.evaluate(point)
+
+    def test_residual_check_at_n3(self):
+        # Every component shares one 400-term denominator, so adding a row's
+        # fractions pairwise would multiply up to eight copies of it.
+        n = 3
+        net, task = nsite_network_and_task(n)
+        report = parameterize(net, task, blocks=BlockStructure((n + 1, n + 1), 0, (1, n + 2)))
+        solution = Solution(tuple(report.solution[name] for name in task.solve_for))
+        assert residual_check(report.system, solution)
+        x1 = solution[0]
+        off = ratio(x1.numerator + x1.denominator, x1.denominator)
+        assert not residual_check(report.system, Solution((off,) + solution.components[1:]))
