@@ -15,7 +15,6 @@ from forestsolve import (
     enumerate_rooted_forests,
     forest_label,
     parse_poly,
-    rat_equal,
     residual_check,
     solve_by_trees,
     to_dot,
@@ -63,10 +62,10 @@ print("\nsolution components:")
 for name, comp in zip(system.variables, solution):
     print(f"    {name} = {comp}")
 
-# 5. Every solver path is cross-checked against an independent oracle.
+# 5. Every solver path is cross-checked against an independent oracle: the
+#    tree sums equal Cramer's determinants up to one sign (matrix-tree theorem).
 oracle = cramer_oracle(system)
-print("\nagrees with the determinant oracle:",
-      all(rat_equal(a, b) for a, b in zip(solution, oracle)))
+print("\nagrees with the determinant oracle:", solution.agrees_up_to_sign(oracle))
 print("residual A*x + b vanishes exactly:", residual_check(system, solution))
 
 # 6. The graph exports to DOT for inspection.

@@ -18,7 +18,6 @@ from forestsolve import (
     choose_j,
     cramer_oracle,
     parse_poly,
-    rat_equal,
     solve_block,
     validate_block_form,
     zero_components,
@@ -56,7 +55,7 @@ solution = solve_block(system, blocks, witness)
 for name, comp in zip(system.variables, solution):
     print(f"    {name} = {comp}")
 oracle = cramer_oracle(system)
-print("matches oracle:", all(rat_equal(a, b) for a, b in zip(solution, oracle)))
+print("matches oracle:", solution.agrees_up_to_sign(oracle))
 
 # 4. Certification: the realized graph has no negative edges here, so the
 #    reachability condition holds vacuously and all components are certified.

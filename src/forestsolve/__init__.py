@@ -19,7 +19,6 @@ from .symring import (
     is_nonpos,
     monomial_split,
     parse_poly,
-    poly_eval,
     poly_sign,
     rat_equal,
     ratio,
@@ -63,7 +62,6 @@ from .linsys import (
     system_to_json,
 )
 from .pgraph import (
-    EdgePartition,
     PGraphWitness,
     Violation,
     certify_nonneg,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .forests import forest_sum
-from .linsys import LinearSystem, SingularSystemError, Solution
+from .linsys import LinearSystem, Solution
 from .multigraph import (
     Laplacian,
     Multidigraph,
@@ -38,7 +38,6 @@ from .symring import (
     is_nonpos,
     monomial_split,
     poly_sign,
-    ratio,
 )
 
 
@@ -336,16 +335,14 @@ def solve_block(
     minus the distinguished constant times the forest sums rooted at a root
     set avoiding block k with l adjoined, weighted by the distinguished-row
     entries picked by the root set.  Denominator: the same weighted sum over
-    full root sets (:func:`block_denominator`).  No edge leaves a block for
+    full root sets, (-1)^(m-d) det(A).  No edge leaves a block for
     another block, nor the tail for a block, so a family is empty, and is
     skipped, when l lies in a block other than k, or when k is the bordering
     slot and l is not in the tail.
     """
-    den = block_denominator(system, blocks, witness)
-    if den.is_zero():
-        raise SingularSystemError("weighted forest sum vanishes")
+    den = _family_sum(system, blocks, witness.laplacian)
     d = blocks.d
-    comps = []
+    nums = []
     for ell in range(1, system.m + 1):
         home = blocks.block_of(ell)
         num = Polynomial.zero()
@@ -360,15 +357,8 @@ def solve_block(
             num = num + minus_b * _family_sum(
                 system, blocks, witness.laplacian, k, ell
             )
-        comps.append(ratio(num, den))
-    return Solution(tuple(comps))
-
-
-def block_denominator(
-    system: LinearSystem, blocks: BlockStructure, witness: ACompatibleWitness
-) -> Polynomial:
-    """The weighted forest-sum denominator (relates to det(A) by a sign)."""
-    return _family_sum(system, blocks, witness.laplacian)
+        nums.append(num)
+    return Solution(tuple(nums), den)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +511,8 @@ def certify_block_nonneg(
         witness = is_pgraph(graph, mu)
         if witness is None:
             raise AssertionError("search returned an invalid certificate")
-        solution = solve_block(
-            system, blocks, ACompatibleWitness(graph, laplacian_of(graph))
-        )
-        for comp in solution:
-            if not (is_nonneg(comp.numerator) and is_nonneg(comp.denominator)):
-                raise AssertionError("certified component has mixed signs")
+        solution = solve_block(system, blocks, ACompatibleWitness(graph, lap))
+        if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
+            raise AssertionError("certified component has mixed signs")
         return solution, witness
     return None

@@ -19,7 +19,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import blocksys, crn, forests, linsys, multigraph, pgraph
-from .symring import ParseError, rat_equal
+from .symring import ParseError
 
 log = logging.getLogger("forestsolve")
 
@@ -57,7 +57,11 @@ def _emit_json(payload: dict, args) -> None:
 
 
 def _load_json(args):
-    return json.loads(_read_input(args.input))
+    text = _read_input(args.input)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _witness_payload(witness: pgraph.PGraphWitness) -> dict:
@@ -86,14 +90,14 @@ def _report_solution(
 ) -> int:
     """Oracle check and output shared by ``solve`` and ``block-solve``.
 
-    ``--oracle`` asks for agreement with Cramer's rule and for a vanishing
-    exact residual, the one check that shares no code with the block solver.
+    ``--oracle`` asks that Cramer's numerators and denominator equal the
+    solver's up to one sign, and that the exact residual A*N + b*D vanish,
+    the one check that shares no code with the block solver.
     """
     payload = {"solution": _solution_payload(solution)}
     if args.oracle:
-        oracle = linsys.cramer_oracle(system)
-        agree = all(
-            rat_equal(a, b) for a, b in zip(solution, oracle)
+        agree = solution.agrees_up_to_sign(
+            linsys.cramer_oracle(system)
         ) and linsys.residual_check(system, solution)
         payload["oracle_agrees"] = agree
         if not agree:
@@ -169,16 +173,15 @@ def _load_block_system(args) -> tuple[linsys.LinearSystem, blocksys.BlockStructu
     system = linsys.system_from_json(data)
     spec = data.get("blocks")
     if spec is None:
-        blocks = crn.propose_blocks(system)
-    else:
-        sizes = tuple(int(s) for s in spec["sizes"])
-        m0 = int(spec["m0"])
-        if "j" in spec and spec["j"]:
-            j = tuple(int(v) for v in spec["j"])
-        else:
-            j = blocksys.choose_j(system, sizes, m0)
-        blocks = blocksys.BlockStructure(sizes, m0, j)
-    return system, blocks
+        return system, crn.propose_blocks(system)
+    if not isinstance(spec, dict) or not isinstance(spec["m0"], int):
+        raise ValueError("'blocks' must be an object with an integer 'm0'")
+    sizes = tuple(multigraph.json_list(spec["sizes"], int, "'sizes'"))
+    m0 = spec["m0"]
+    j = tuple(multigraph.json_list(spec.get("j") or [], int, "'j'"))
+    return system, blocksys.BlockStructure(
+        sizes, m0, j or blocksys.choose_j(system, sizes, m0)
+    )
 
 
 def _cmd_block_solve(args) -> int:
@@ -283,7 +286,7 @@ def _cmd_crn_param(args) -> int:
 
 def _cmd_graph_dot(args) -> int:
     data = _load_json(args)
-    if "edges" in data and "nodes" in data:
+    if isinstance(data, dict) and "edges" in data and "nodes" in data:
         graph = multigraph.graph_from_json(data)
     else:
         system = linsys.system_from_json(data)

@@ -405,21 +405,23 @@ def propose_blocks(system: LinearSystem) -> BlockStructure:
     return BlockStructure(tuple(sizes), m0, tuple(j))
 
 
+_DROP_TRIALS = 5
+_DROP_SEED = 0
+
+
 def validate_dropped_rows(
-    net: Network, task: SteadyStateTask, trials: int = 5, seed: int = 0
+    net: Network, task: SteadyStateTask, system: LinearSystem
 ) -> list[str]:
     """Sanity check that dropped equations are implied by the retained ones.
 
-    The dropped equilibrium rows must lie in the rational row span of the
-    retained rows (with constants).  Checked at random positive instantiations
-    of all symbols; a pragmatic surrogate for symbolic dependence.
+    ``system`` is the task's steady-state system (:func:`build_steady_system`).
+    The dropped equilibrium rows must lie in the rational row span of its
+    rows (with constants).  Checked at ``_DROP_TRIALS`` random positive
+    instantiations of all symbols, drawn from a fixed seed; a pragmatic
+    surrogate for symbolic dependence.
     """
     unknowns = list(task.solve_for)
     odes = mass_action_odes(net)
-    try:
-        system, _ = build_steady_system(net, task)
-    except NonlinearSystemError as exc:
-        return [str(exc)]
     dropped_rows = []
     for s in task.drop:
         try:
@@ -436,9 +438,9 @@ def validate_dropped_rows(
     for row in retained + [row for _, row in dropped_rows]:
         for p in row:
             symbols.update(p.variables())
-    rng = random.Random(seed)
+    rng = random.Random(_DROP_SEED)
     problems = []
-    for _ in range(trials):
+    for _ in range(_DROP_TRIALS):
         point = {name: Fraction(rng.randint(1, 1000), rng.randint(1, 50)) for name in sorted(symbols)}
         base = [[p.evaluate(point) for p in row] for row in retained]
         r0 = len(_row_reduce(base)[1])
@@ -469,7 +471,7 @@ def parameterize(
     system, proposal = build_steady_system(net, task)
     if blocks is None:
         blocks = proposal
-    diagnostics.extend(validate_dropped_rows(net, task))
+    diagnostics.extend(validate_dropped_rows(net, task, system))
     try:
         outcome = certify_block_nonneg(system, blocks, budget=budget)
     except BlockHypothesisError as exc:

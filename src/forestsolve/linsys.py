@@ -2,19 +2,23 @@
 
 The system is bordered into an (m+1)x(m+1) zero-column-sum matrix whose graph
 realizations carry the solution in their spanning trees: component i is the
-quotient of the tree sums rooted at i and at m+1.  A Cramer oracle (exact
-determinants) and an exact residual substitution cross-check every solver
-path.  The block solver takes its sums as determinants too, so for it the
-residual is the check that shares no code with the solver.
+quotient N_i / D of the tree sums rooted at i and at m+1.  Every solver keeps
+the numerators N over the one denominator D, and by the all-minors
+matrix-tree theorem D = +-det(A).  So the Cramer oracle (exact determinants)
+agrees with a solver exactly when its (N, D) is the solver's up to one sign,
+and the exact residual is the polynomial identity A*N + b*D = 0.  The block
+solver takes its sums as determinants too, so for it the residual is the
+check that shares no code with the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .forests import upsilon_rooted
-from .multigraph import Laplacian, canonical_graph
+from .multigraph import Laplacian, Multidigraph, canonical_graph, json_list
 from .symring import (
     Polynomial,
     RationalExpr,
@@ -68,9 +72,23 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Solution vector, one reduced rational expression per variable."""
+    """Solution vector x_i = N_i / D: unreduced numerators over one denominator.
 
-    components: tuple[RationalExpr, ...]
+    D is a weighted forest sum, +-det(A) by the all-minors matrix-tree
+    theorem, so a vanishing D means a singular system.  Indexing and
+    iteration give the components reduced one by one with :func:`ratio`.
+    """
+
+    numerators: tuple[Polynomial, ...]
+    denominator: Polynomial
+
+    def __post_init__(self):
+        if self.denominator.is_zero():
+            raise SingularSystemError("weighted forest sum vanishes")
+
+    @cached_property
+    def components(self) -> tuple[RationalExpr, ...]:
+        return tuple(ratio(num, self.denominator) for num in self.numerators)
 
     def __iter__(self):
         return iter(self.components)
@@ -79,7 +97,14 @@ class Solution:
         return self.components[i]
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.numerators)
+
+    def agrees_up_to_sign(self, other: "Solution") -> bool:
+        """Whether other's (N, D) is this one's times a single sign +-1."""
+        sign = 1 if other.denominator == self.denominator else -1
+        return other.denominator == sign * self.denominator and (
+            other.numerators == tuple(sign * n for n in self.numerators)
+        )
 
 
 def bordered_laplacian(system: LinearSystem) -> Laplacian:
@@ -96,20 +121,20 @@ def bordered_laplacian(system: LinearSystem) -> Laplacian:
     return Laplacian(rows)
 
 
+def tree_solution(graph: Multidigraph) -> Solution:
+    """N_i and D as the tree sums of ``graph`` rooted at i and at node m+1."""
+    last = graph.node_count
+    den = upsilon_rooted(graph, last)
+    return Solution(tuple(upsilon_rooted(graph, i) for i in range(1, last)), den)
+
+
 def solve_by_trees(system: LinearSystem) -> Solution:
     """Solve by spanning-tree sums on the canonical graph of the bordered matrix.
 
     Every graph realizing that matrix has the same rooted tree sums, so the
     choice of graph does not change the answer.
     """
-    graph = canonical_graph(bordered_laplacian(system))
-    m = system.m
-    den = upsilon_rooted(graph, m + 1)
-    if den.is_zero():
-        raise SingularSystemError("tree sum rooted at the extra node vanishes")
-    return Solution(
-        tuple(ratio(upsilon_rooted(graph, i), den) for i in range(1, m + 1))
-    )
+    return tree_solution(canonical_graph(bordered_laplacian(system)))
 
 
 def cramer_oracle(system: LinearSystem) -> Solution:
@@ -117,34 +142,23 @@ def cramer_oracle(system: LinearSystem) -> Solution:
     m = system.m
     a = [list(row) for row in system.a]
     det_a = det_matrix(a)
-    if det_a.is_zero():
-        raise SingularSystemError("coefficient matrix is singular")
-    comps = []
+    nums = []
     for i in range(m):
         repl = [row[:] for row in a]
         for r in range(m):
             repl[r][i] = -system.b[r]
-        comps.append(ratio(det_matrix(repl), det_a))
-    return Solution(tuple(comps))
+        nums.append(det_matrix(repl))
+    return Solution(tuple(nums), det_a)
 
 
 def residual_check(system: LinearSystem, solution: Solution) -> bool:
-    """Exact check that A*x + b is the zero vector.
-
-    Each row first sums the numerators of the terms that share a
-    denominator, so components over one common denominator D cost one
-    product by D instead of a product of m copies of D.
-    """
+    """Exact check that A*x + b is the zero vector: A*N + b*D = 0 (D != 0)."""
     if len(solution) != system.m:
         return False
-    for i in range(system.m):
-        by_den = {Polynomial.one(): system.b[i]}
-        for a_ij, x in zip(system.a[i], solution):
-            num = by_den.get(x.denominator, Polynomial.zero())
-            by_den[x.denominator] = num + a_ij * x.numerator
-        acc = ratio(Polynomial.zero(), Polynomial.one())
-        for den, num in by_den.items():
-            acc = acc + ratio(num, den)
+    for a_row, b_i in zip(system.a, system.b):
+        acc = b_i * solution.denominator
+        for a_ij, num in zip(a_row, solution.numerators):
+            acc = acc + a_ij * num
         if not acc.is_zero():
             return False
     return True
@@ -174,7 +188,13 @@ def system_to_json(system: LinearSystem) -> dict:
 
 
 def system_from_json(data: Mapping) -> LinearSystem:
-    variables = [str(v) for v in data["variables"]]
-    a = [[parse_poly(s) for s in row] for row in data["A"]]
-    b = [parse_poly(s) for s in data["b"]]
-    return LinearSystem.build(variables, a, b)
+    if not isinstance(data, Mapping):
+        raise ValueError("a system must be a JSON object")
+    return LinearSystem.build(
+        json_list(data["variables"], str, "'variables'"),
+        [
+            [parse_poly(s) for s in json_list(row, str, "a row of 'A'")]
+            for row in json_list(data["A"], list, "'A'")
+        ],
+        [parse_poly(s) for s in json_list(data["b"], str, "'b'")],
+    )

@@ -330,11 +330,29 @@ def graph_to_json(graph: Multidigraph) -> dict:
     }
 
 
+_JSON_NAMES = {str: "strings", int: "integers", list: "arrays", dict: "objects"}
+
+
+def json_list(value, kind: type, what: str) -> list:
+    """``value`` if it is a JSON array of ``kind`` items, else ValueError."""
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise ValueError(f"{what} must be an array of {_JSON_NAMES[kind]}")
+    return value
+
+
 def graph_from_json(data: Mapping) -> Multidigraph:
-    triples = [
-        (e["src"], e["tgt"], parse_poly(e["label"])) for e in data["edges"]
-    ]
-    return Multidigraph.from_edges(int(data["nodes"]), triples)
+    if not isinstance(data, Mapping) or not isinstance(data["nodes"], int):
+        raise ValueError("a graph must be an object with an integer 'nodes'")
+    triples = []
+    for e in json_list(data["edges"], dict, "'edges'"):
+        if not (
+            isinstance(e["src"], int)
+            and isinstance(e["tgt"], int)
+            and isinstance(e["label"], str)
+        ):
+            raise ValueError("an edge needs integer 'src', 'tgt' and a string 'label'")
+        triples.append((e["src"], e["tgt"], parse_poly(e["label"])))
+    return Multidigraph.from_edges(data["nodes"], triples)
 
 
 # ---------------------------------------------------------------------------

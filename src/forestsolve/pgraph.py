@@ -23,18 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .forests import (
-    Forest,
-    enumerate_rooted_forests,
-    forest_from_edges,
-    upsilon_rooted,
-)
-from .linsys import (
-    LinearSystem,
-    SingularSystemError,
-    Solution,
-    bordered_laplacian,
-)
+from .forests import Forest, enumerate_rooted_forests, forest_from_edges
+from .linsys import LinearSystem, Solution, bordered_laplacian, tree_solution
 from .multigraph import (
     Edge,
     Laplacian,
@@ -49,7 +39,6 @@ from .symring import (
     is_nonneg,
     monomial_split,
     poly_sign,
-    ratio,
 )
 
 
@@ -63,27 +52,13 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class EdgePartition:
-    """A graph with sign-determined labels plus the negative-to-positive grouping."""
+class PGraphWitness:
+    """A validated certificate: a graph with sign-determined labels, the
+    negative-to-positive edge grouping mu, and the per-group label sums."""
 
     graph: Multidigraph
     mu: Mapping[int, frozenset[int]]
-
-
-@dataclass(frozen=True)
-class PGraphWitness:
-    """A validated certificate: partition plus the per-group label sums."""
-
-    partition: EdgePartition
     group_sums: Mapping[int, Polynomial]
-
-    @property
-    def graph(self) -> Multidigraph:
-        return self.partition.graph
-
-    @property
-    def mu(self) -> Mapping[int, frozenset[int]]:
-        return self.partition.mu
 
     def negative_edges(self) -> list[Edge]:
         return [
@@ -212,7 +187,7 @@ def is_pgraph(
         if not is_nonneg(total):
             return None
         sums[eid] = total
-    return PGraphWitness(EdgePartition(graph, full_mu), sums)
+    return PGraphWitness(graph, full_mu, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +598,7 @@ def certify_nonneg(
     witness = is_pgraph(graph, mu)
     if witness is None:
         raise AssertionError("search returned an invalid certificate")
-    m = system.m
-    den = upsilon_rooted(graph, m + 1)
-    if den.is_zero():
-        raise SingularSystemError("tree sum rooted at the extra node vanishes")
-    comps = []
-    for i in range(1, m + 1):
-        num = upsilon_rooted(graph, i)
-        if not (is_nonneg(num) and is_nonneg(den)):
-            raise AssertionError("certified tree sum has mixed signs")
-        comps.append(ratio(num, den))
-    return Solution(tuple(comps)), witness
+    solution = tree_solution(graph)
+    if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
+        raise AssertionError("certified tree sum has mixed signs")
+    return solution, witness

@@ -1,12 +1,13 @@
-"""Exact multivariate polynomial and rational-function arithmetic.
+"""Exact multivariate polynomial arithmetic and reduced rational expressions.
 
 Polynomials have arbitrary-precision rational coefficients (Fraction) and are
 kept in a canonical form: a sorted tuple of (exponent-map, coefficient) terms
 with no zero coefficients.  Equality is structural equality of the canonical
 form, so polynomial identity testing is fully reliable.  The public
 constructor validates outside input; arithmetic results are canonicalized
-once, without re-validation.  Determinants are memoized cofactor expansion
-only.
+once, without re-validation.  Rational expressions are reduced for display
+and evaluation only; they have no arithmetic.  Determinants are memoized
+cofactor expansion only.
 
 The term order is graded lexicographic by variable name: higher total degree
 first, ties broken lexicographically on the sparse exponent vectors.  Any
@@ -141,13 +142,6 @@ class Polynomial:
     def variables(self) -> tuple[str, ...]:
         names = {name for exps, _ in self._terms for name, _ in exps}
         return tuple(sorted(names))
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant term (0 if absent)."""
-        for exps, coeff in self._terms:
-            if not exps:
-                return coeff
-        return Fraction(0)
 
     def leading(self) -> tuple[Exponents, Fraction]:
         if not self._terms:
@@ -324,10 +318,6 @@ def monomial_split(p: Polynomial) -> list[Polynomial]:
     return [Polynomial({exps: coeff}) for exps, coeff in p.terms]
 
 
-def poly_eval(p: Polynomial, point: Mapping[str, int | Fraction]) -> Fraction:
-    return p.evaluate(point)
-
-
 # ---------------------------------------------------------------------------
 # rational expressions
 
@@ -385,7 +375,9 @@ class RationalExpr:
 
     Only the common monomial factor and rational content are removed, not
     polynomial common factors; mathematical equality is decided by
-    cross-multiplication (:func:`rat_equal`, also wired to ``==``).
+    cross-multiplication (:func:`rat_equal`, also wired to ``==``).  It is
+    a printed, evaluated form with no arithmetic: solvers compute with the
+    unreduced numerators over one shared denominator (``linsys.Solution``).
     """
 
     numerator: Polynomial
@@ -399,24 +391,6 @@ class RationalExpr:
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the given point")
         return self.numerator.evaluate(point) / den
-
-    def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        return ratio(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __sub__(self, other: "RationalExpr") -> "RationalExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalExpr":
-        return RationalExpr(-self.numerator, self.denominator)
-
-    def __mul__(self, other: "RationalExpr") -> "RationalExpr":
-        return ratio(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalExpr):
@@ -598,7 +572,10 @@ class _Parser:
 def parse_poly(text: str) -> Polynomial:
     """Parse the polynomial grammar: rationals, names, ``+ - * ^``, parens."""
     parser = _Parser(_tokenize(text))
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input from token {parser.pos}")
     return result

@@ -10,9 +10,14 @@ from hypothesis import settings
 
 from forestsolve import (
     BlockStructure,
+    ConservationUse,
     LinearSystem,
     Multidigraph,
     Polynomial,
+    Solution,
+    SteadyStateTask,
+    conservation_laws,
+    parse_network,
     parse_poly,
 )
 
@@ -93,6 +98,64 @@ def mmatrix_system() -> LinearSystem:
     """Nonnegative solution but provably no certificate graph."""
     a = [[C(-4), C(2)], [C(1), C(-1)]]
     return LinearSystem.build(["x1", "x2"], a, [C(1), C(1)])
+
+
+def over_common_denominator(components) -> Solution:
+    """Reduced components brought back over one denominator.
+
+    D is the product of the distinct denominators and N_i is x_i's numerator
+    times the other distinct denominators, so no polynomial division is needed.
+    """
+    dens: list[Polynomial] = []
+    for comp in components:
+        if comp.denominator not in dens:
+            dens.append(comp.denominator)
+
+    def product(polys) -> Polynomial:
+        out = Polynomial.one()
+        for p in polys:
+            out = out * p
+        return out
+
+    return Solution(
+        tuple(
+            comp.numerator * product(d for d in dens if d != comp.denominator)
+            for comp in components
+        ),
+        product(dens),
+    )
+
+
+def nsite_network_and_task(n: int):
+    """Sequential n-site phosphorylation with kinase E and phosphatase F.
+
+    The unknowns are E, ES0..ES(n-1), F, FS1..FSn; the substrates S0..Sn are
+    parameters, the two enzyme totals replace rows E and F, and the
+    substrate rows are dropped.
+    """
+    unknowns = ["E"] + [f"ES{i}" for i in range(n)] + ["F"] + [f"FS{i}" for i in range(1, n + 1)]
+    substrates = [f"S{i}" for i in range(n + 1)]
+    lines = ["species: " + ", ".join(unknowns + substrates)]
+    for i in range(n):
+        lines.append(f"S{i} + E <-> ES{i} ; a{i}, b{i}")
+        lines.append(f"ES{i} -> S{i + 1} + E ; c{i}")
+    for i in range(1, n + 1):
+        lines.append(f"S{i} + F <-> FS{i} ; d{i}, e{i}")
+        lines.append(f"FS{i} -> S{i - 1} + F ; f{i}")
+    net = parse_network("\n".join(lines) + "\n")
+    laws = conservation_laws(net)
+    e_law = [int(s == "E" or s.startswith("ES")) for s in net.species]
+    f_law = [int(s == "F" or s.startswith("FS")) for s in net.species]
+    task = SteadyStateTask(
+        solve_for=tuple(unknowns),
+        parameters=tuple(substrates),
+        conservation=(
+            ConservationUse(1, laws.index(e_law) + 1, "Etot"),
+            ConservationUse(n + 2, laws.index(f_law) + 1, "Ftot"),
+        ),
+        drop=tuple(range(2 * n + 3, 3 * n + 4)),
+    )
+    return net, task
 
 
 # ---------------------------------------------------------------------------

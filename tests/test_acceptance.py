@@ -41,7 +41,6 @@ from forestsolve import (
     upsilon_rooted,
     zero_components,
 )
-from forestsolve.blocksys import block_denominator
 from forestsolve.multigraph import random_multidigraph
 from forestsolve.symring import Sign, det_matrix
 
@@ -136,14 +135,14 @@ def test_criterion_4_oracle_equivalence():
         system = random_int_system(rng, max_m=5)
         trees = solve_by_trees(system)
         oracle = cramer_oracle(system)
-        assert all(rat_equal(a, b) for a, b in zip(trees, oracle))
+        assert trees.agrees_up_to_sign(oracle)
     block_suite = []
     for _ in range(50):
         system, blocks = random_block_system(rng, max_m=6, max_d=2)
         witness = build_acompatible(system, blocks)
         solution = solve_block(system, blocks, witness)
         oracle = cramer_oracle(system)
-        assert all(rat_equal(a, b) for a, b in zip(solution, oracle))
+        assert solution.agrees_up_to_sign(oracle)
         block_suite.append((system, blocks, witness))
     test_criterion_4_oracle_equivalence.block_suite = block_suite
     elapsed = time.perf_counter() - start
@@ -160,7 +159,7 @@ def test_criterion_5_block_examples(block_three_system, five_var_system, crn_tex
     assert det_matrix([list(r) for r in system.a]) == P("(z2 + z3)*z4")
     solution, witness = certify_block_nonneg(system, blocks)
     oracle = cramer_oracle(system)
-    assert all(rat_equal(a, b) for a, b in zip(solution, oracle))
+    assert solution.agrees_up_to_sign(oracle)
     for comp in solution:
         assert is_nonneg(comp.numerator) and is_nonneg(comp.denominator)
     _collected_witnesses.append(witness)
@@ -220,7 +219,7 @@ def test_criterion_6_denominator_identity():
     if suite is None:
         pytest.skip("criterion 4 must run first")
     for system, blocks, witness in suite:
-        den = block_denominator(system, blocks, witness)
+        den = solve_block(system, blocks, witness).denominator
         det_a = det_matrix([list(r) for r in system.a])
         expected = det_a if (system.m - blocks.d) % 2 == 0 else -det_a
         assert den == expected

@@ -17,8 +17,10 @@ from forestsolve import (
     choose_j,
     cramer_oracle,
     enumerate_forests,
+    find_pgraph,
     forest_sum,
     is_nonneg,
+    laplacian_of,
     parse_poly,
     rat_equal,
     ratio,
@@ -29,11 +31,18 @@ from forestsolve import (
     validate_block_form,
     zero_components,
 )
-from forestsolve.blocksys import block_denominator
+from forestsolve.blocksys import _candidate_matrices
 from forestsolve.forests import enumerate_rooted_forests, upsilon
 from forestsolve.symring import det_matrix
 
-from conftest import ZERO, C, random_block_system, root_sets, zvar
+from conftest import (
+    ZERO,
+    C,
+    random_block_system,
+    random_certificate_cases,
+    root_sets,
+    zvar,
+)
 
 P = parse_poly
 
@@ -154,7 +163,7 @@ class TestSolveBlock:
         witness = build_acompatible(system, blocks)
         solution = solve_block(system, blocks, witness)
         oracle = cramer_oracle(system)
-        assert all(rat_equal(a, b) for a, b in zip(solution, oracle))
+        assert solution.agrees_up_to_sign(oracle)
         assert rat_equal(
             solution[0], ratio(P("z1*z3"), P("z2 + z3"))
         )
@@ -179,7 +188,7 @@ class TestSolveBlock:
         witness = build_acompatible(three_var_system, blocks)
         block_solution = solve_block(three_var_system, blocks, witness)
         plain = solve_by_trees(three_var_system)
-        assert all(rat_equal(a, b) for a, b in zip(block_solution, plain))
+        assert block_solution.agrees_up_to_sign(plain)
 
     def test_random_block_systems_match_oracle(self):
         rng = random.Random(51)
@@ -188,7 +197,7 @@ class TestSolveBlock:
             witness = build_acompatible(system, blocks)
             solution = solve_block(system, blocks, witness)
             oracle = cramer_oracle(system)
-            assert all(rat_equal(a, b) for a, b in zip(solution, oracle))
+            assert solution.agrees_up_to_sign(oracle)
 
     def test_denominator_sign_identity(self, block_three_system, five_var_system):
         rng = random.Random(52)
@@ -196,7 +205,7 @@ class TestSolveBlock:
         cases.extend(random_block_system(rng) for _ in range(15))
         for system, blocks in cases:
             witness = build_acompatible(system, blocks)
-            den = block_denominator(system, blocks, witness)
+            den = solve_block(system, blocks, witness).denominator
             det_a = det_matrix([list(r) for r in system.a])
             sign = 1 if (system.m - blocks.d) % 2 == 0 else -1
             assert den == (det_a if sign == 1 else -det_a)
@@ -351,7 +360,7 @@ class TestCertification:
         system, blocks = block_three_system
         solution, witness = certify_block_nonneg(system, blocks)
         oracle = cramer_oracle(system)
-        assert all(rat_equal(a, b) for a, b in zip(solution, oracle))
+        assert solution.agrees_up_to_sign(oracle)
         for comp in solution:
             assert is_nonneg(comp.numerator) and is_nonneg(comp.denominator)
         assert zero_components(witness, blocks) == frozenset()
@@ -376,6 +385,22 @@ class TestCertification:
         with pytest.raises(BlockHypothesisError):
             certify_block_nonneg(bad, blocks)
 
+    def test_certificate_graph_realizes_candidate_matrix(
+        self, block_three_system, five_var_system, zero_component_case
+    ):
+        # certify_block_nonneg hands the candidate matrix to the solver as
+        # the certificate graph's Laplacian instead of recomputing it
+        found = []
+        for system, blocks in (block_three_system, five_var_system, zero_component_case):
+            for lap in _candidate_matrices(system, blocks, 64):
+                result = find_pgraph(lap)
+                if result is not None:
+                    found.append((lap, result))
+        found.extend(random_certificate_cases(random.Random(46), 6))
+        assert len(found) >= 16
+        for lap, (graph, _) in found:
+            assert laplacian_of(graph) == lap
+
     def test_zero_component_instance(self, zero_component_case):
         system, blocks = zero_component_case
         outcome = certify_block_nonneg(system, blocks)
@@ -386,4 +411,4 @@ class TestCertification:
         oracle = cramer_oracle(system)
         assert oracle[0].is_zero()
         assert solution[0].is_zero()
-        assert all(rat_equal(a, b) for a, b in zip(solution, oracle))
+        assert solution.agrees_up_to_sign(oracle)

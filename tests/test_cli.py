@@ -8,16 +8,17 @@ from pathlib import Path
 import pytest
 
 from forestsolve import (
+    BlockStructure,
     Solution,
     blocksys,
     cli,
     cramer_oracle,
     linsys,
-    ratio,
+    parameterize,
     system_to_json,
 )
 
-from conftest import CRN_TEXT
+from conftest import CRN_TEXT, nsite_network_and_task
 
 
 @pytest.fixture
@@ -119,14 +120,29 @@ class TestBlockCommands:
         # answer from both must still fail on the exact residual.
         system, _ = block_three_system
         right = cramer_oracle(system)
-        x1 = right[0]
-        wrong_x1 = ratio(x1.numerator + x1.denominator, x1.denominator)  # x1 + 1
-        wrong = Solution((wrong_x1,) + right.components[1:])
+        wrong = Solution(  # x1 + 1
+            (right.numerators[0] + right.denominator,) + right.numerators[1:],
+            right.denominator,
+        )
         monkeypatch.setattr(blocksys, "solve_block", lambda *args: wrong)
         monkeypatch.setattr(linsys, "cramer_oracle", lambda *args: wrong)
         code, out, _ = run(capsys, ["block-solve", "--input", block_file, "--oracle"])
         assert code == 3
         assert json.loads(out)["oracle_agrees"] is False
+
+    def test_block_oracle_on_nsite_n3(self, capsys, tmp_path):
+        # Cramer's (N, D) is compared with the solver's term by term, not by
+        # cross-multiplying the reduced components' 400-term denominators.
+        n = 3
+        net, task = nsite_network_and_task(n)
+        blocks = BlockStructure((n + 1, n + 1), 0, (1, n + 2))
+        data = system_to_json(parameterize(net, task, blocks=blocks).system)
+        data["blocks"] = {"sizes": list(blocks.sizes), "m0": 0, "j": list(blocks.j)}
+        path = tmp_path / "nsite3.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, ["block-solve", "--input", str(path), "--oracle"])
+        assert code == 0
+        assert json.loads(out)["oracle_agrees"] is True
 
     def test_block_certify(self, capsys, block_file):
         code, out, _ = run(capsys, ["block-certify", "--input", block_file])
@@ -225,6 +241,48 @@ class TestErrors:
         )
         code, _, _ = run(capsys, ["solve", "--input", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("solve", [1, 2]),
+            ("solve", {"variables": ["x1"], "A": [["1"]], "b": [3]}),
+            ("solve", {"variables": "x", "A": ["z"], "b": ["1"]}),
+            (
+                "solve",
+                {"variables": ["x1"], "A": [["(" * 3000 + "z1" + ")" * 3000]], "b": ["1"]},
+            ),
+            ("solve", "[" * 100000 + "]" * 100000),
+            ("block-solve", {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": [1]}),
+            (
+                "block-solve",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": {"sizes": 1, "m0": 0}},
+            ),
+            ("graph-dot", {"nodes": 2, "edges": [1]}),
+            ("graph-dot", {"nodes": 2, "edges": [{"src": "1", "tgt": 2, "label": "z1"}]}),
+            ("graph-dot", 5),
+        ],
+        ids=[
+            "top-level-list",
+            "number-entry",
+            "string-rows",
+            "deep-parentheses",
+            "deep-json",
+            "blocks-list",
+            "sizes-number",
+            "edge-number",
+            "edge-string-endpoint",
+            "top-level-number",
+        ],
+    )
+    def test_wrong_shape_exits_2(self, capsys, tmp_path, command, data):
+        # data is the JSON value, or for "deep-json" the text itself
+        path = tmp_path / "shape.json"
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error")
 
     def test_output_file(self, capsys, tmp_path, system_file):
         out_path = tmp_path / "result.json"

@@ -28,6 +28,8 @@ from forestsolve.crn import validate_dropped_rows
 from forestsolve.linsys import Solution
 from forestsolve.symring import det_matrix
 
+from conftest import nsite_network_and_task, over_common_denominator
+
 P = parse_poly
 
 TASK = SteadyStateTask(
@@ -201,7 +203,9 @@ class TestBuildSystem:
 
 class TestDroppedRows:
     def test_golden_drop_is_dependent(self, crn_text):
-        assert validate_dropped_rows(parse_network(crn_text), TASK) == []
+        net = parse_network(crn_text)
+        system, _ = build_steady_system(net, TASK)
+        assert validate_dropped_rows(net, TASK, system) == []
 
     def test_independent_drop_reported(self):
         # the dropped inflow/outflow balance is not implied by the rest
@@ -212,7 +216,8 @@ class TestDroppedRows:
             conservation=(ConservationUse(replaces_row=1, law_index=1, total="T"),),
             drop=(3,),
         )
-        problems = validate_dropped_rows(net, bad)
+        system, _ = build_steady_system(net, bad)
+        problems = validate_dropped_rows(net, bad, system)
         assert problems and "independent" in problems[0]
 
 
@@ -263,8 +268,8 @@ class TestParameterize:
 
     def test_residuals_vanish(self, crn_text):
         report = parameterize(parse_network(crn_text), TASK)
-        solution = Solution(
-            tuple(report.solution[name] for name in TASK.solve_for)
+        solution = over_common_denominator(
+            [report.solution[name] for name in TASK.solve_for]
         )
         assert residual_check(report.system, solution)
 
@@ -307,38 +312,6 @@ class TestParameterize:
         assert "A" in str(err.value)
 
 
-def nsite_network_and_task(n: int):
-    """Sequential n-site phosphorylation with kinase E and phosphatase F.
-
-    The unknowns are E, ES0..ES(n-1), F, FS1..FSn; the substrates S0..Sn are
-    parameters, the two enzyme totals replace rows E and F, and the
-    substrate rows are dropped.
-    """
-    unknowns = ["E"] + [f"ES{i}" for i in range(n)] + ["F"] + [f"FS{i}" for i in range(1, n + 1)]
-    substrates = [f"S{i}" for i in range(n + 1)]
-    lines = ["species: " + ", ".join(unknowns + substrates)]
-    for i in range(n):
-        lines.append(f"S{i} + E <-> ES{i} ; a{i}, b{i}")
-        lines.append(f"ES{i} -> S{i + 1} + E ; c{i}")
-    for i in range(1, n + 1):
-        lines.append(f"S{i} + F <-> FS{i} ; d{i}, e{i}")
-        lines.append(f"FS{i} -> S{i - 1} + F ; f{i}")
-    net = parse_network("\n".join(lines) + "\n")
-    laws = conservation_laws(net)
-    e_law = [int(s == "E" or s.startswith("ES")) for s in net.species]
-    f_law = [int(s == "F" or s.startswith("FS")) for s in net.species]
-    task = SteadyStateTask(
-        solve_for=tuple(unknowns),
-        parameters=tuple(substrates),
-        conservation=(
-            ConservationUse(1, laws.index(e_law) + 1, "Etot"),
-            ConservationUse(n + 2, laws.index(f_law) + 1, "Ftot"),
-        ),
-        drop=tuple(range(2 * n + 3, 3 * n + 4)),
-    )
-    return net, task
-
-
 class TestNSite:
     def test_cramer_oracle_at_n4_matches_parameterization(self):
         n = 4
@@ -361,8 +334,12 @@ class TestNSite:
         n = 3
         net, task = nsite_network_and_task(n)
         report = parameterize(net, task, blocks=BlockStructure((n + 1, n + 1), 0, (1, n + 2)))
-        solution = Solution(tuple(report.solution[name] for name in task.solve_for))
+        solution = over_common_denominator(
+            [report.solution[name] for name in task.solve_for]
+        )
         assert residual_check(report.system, solution)
-        x1 = solution[0]
-        off = ratio(x1.numerator + x1.denominator, x1.denominator)
-        assert not residual_check(report.system, Solution((off,) + solution.components[1:]))
+        off = Solution(  # x1 + 1
+            (solution.numerators[0] + solution.denominator,) + solution.numerators[1:],
+            solution.denominator,
+        )
+        assert not residual_check(report.system, off)

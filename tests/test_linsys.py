@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestsolve import (
     LinearSystem,
@@ -11,6 +12,7 @@ from forestsolve import (
     SingularSystemError,
     Solution,
     bordered_laplacian,
+    build_acompatible,
     canonical_graph,
     cramer_oracle,
     laplacian_of,
@@ -19,6 +21,7 @@ from forestsolve import (
     rat_equal,
     ratio,
     residual_check,
+    solve_block,
     solve_by_trees,
     split_edge,
     system_from_json,
@@ -28,7 +31,7 @@ from forestsolve import (
 from forestsolve.linsys import permute_rows
 from forestsolve.symring import det_matrix
 
-from conftest import ZERO, C, random_int_system, zvar
+from conftest import ZERO, C, random_block_system, random_int_system, zvar
 
 P = parse_poly
 
@@ -78,7 +81,7 @@ class TestSolveByTrees:
             system = random_int_system(rng)
             by_trees = solve_by_trees(system)
             by_cramer = cramer_oracle(system)
-            assert all(rat_equal(a, b) for a, b in zip(by_trees, by_cramer))
+            assert by_trees.agrees_up_to_sign(by_cramer)
 
     def test_graph_realization_independence(self, three_var_system):
         lap = bordered_laplacian(three_var_system)
@@ -100,7 +103,7 @@ class TestSolveByTrees:
                 if not variant.edges:
                     break
                 edge = rng.choice(variant.edges)
-                value = edge.label.constant_value()
+                value = edge.label.evaluate({})
                 pieces = (
                     [C(value - 1), C(1)] if value != 1 else [C(2), C(-1)]
                 )
@@ -159,18 +162,48 @@ class TestResidual:
     def test_perturbed_solution_fails(self, three_var_system):
         solution = solve_by_trees(three_var_system)
         bad = Solution(
-            (
-                ratio(
-                    solution[0].numerator * C(2), solution[0].denominator
-                ),
-            )
-            + solution.components[1:]
+            (solution.numerators[0] * C(2),) + solution.numerators[1:],
+            solution.denominator,
         )
         assert not residual_check(three_var_system, bad)
 
     def test_zero_case(self):
         system = LinearSystem.build(["x1"], [[C(-1)]], [ZERO])
         assert residual_check(system, solve_by_trees(system))
+
+
+def _check_against_cramer(system: LinearSystem, solution: Solution, sign: int) -> None:
+    """(N, D) is sign * Cramer's, the residual holds, and a perturbed N fails."""
+    oracle = cramer_oracle(system)
+    assert oracle.denominator == det_matrix([list(r) for r in system.a])
+    assert solution.denominator == sign * oracle.denominator
+    assert all(n == sign * o for n, o in zip(solution.numerators, oracle.numerators))
+    assert solution.agrees_up_to_sign(oracle) and oracle.agrees_up_to_sign(solution)
+    assert residual_check(system, solution)
+    for i in range(system.m):  # x_i + 1: D != 0 and A has no zero column
+        nums = list(solution.numerators)
+        nums[i] = nums[i] + solution.denominator
+        off = Solution(tuple(nums), solution.denominator)
+        assert not residual_check(system, off)
+        assert not off.agrees_up_to_sign(oracle)
+
+
+class TestDifferential:
+    """Tree and block solvers against Cramer's rule on seeded random draws."""
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tree_solution(self, seed):
+        system = random_int_system(random.Random(seed))
+        _check_against_cramer(system, solve_by_trees(system), (-1) ** system.m)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_block_solution(self, seed):
+        system, blocks = random_block_system(random.Random(seed))
+        witness = build_acompatible(system, blocks)
+        solution = solve_block(system, blocks, witness)
+        _check_against_cramer(system, solution, (-1) ** (system.m - blocks.d))
 
 
 class TestInterchange:

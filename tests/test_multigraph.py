@@ -129,7 +129,7 @@ class TestRewrites:
             if not graph.edges:
                 continue
             edge = rng.choice(graph.edges)
-            value = edge.label.constant_value()
+            value = edge.label.evaluate({})
             pieces = [C(value - 1), C(1)] if value != 1 else [C(2), C(-1)]
             new_graph, _ = split_edge(graph, edge.eid, pieces)
             assert laplacian_of(new_graph) == laplacian_of(graph)

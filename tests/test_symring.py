@@ -16,7 +16,6 @@ from forestsolve import (
     is_nonneg,
     monomial_split,
     parse_poly,
-    poly_eval,
     poly_sign,
     rat_equal,
     ratio,
@@ -131,25 +130,25 @@ class TestSign:
                     n: Fraction(rng.randint(1, 60), rng.randint(1, 20))
                     for n in names
                 }
-                assert poly_eval(p, point) > 0
+                assert p.evaluate(point) > 0
                 checked += 1
         assert checked > 0
 
 
 class TestEvaluation:
     def test_simple(self):
-        assert poly_eval(P("z1 + 2*z2"), {"z1": 1, "z2": 1}) == 3
+        assert P("z1 + 2*z2").evaluate({"z1": 1, "z2": 1}) == 3
 
     def test_rational_expr_value(self):
         expr = ratio(P("z5"), P("z1 + 2*z2"))
         assert expr.evaluate({"z1": 1, "z2": 1, "z5": 6}) == 2
 
     def test_zero_everywhere(self):
-        assert poly_eval(Polynomial.zero(), {"z1": 7}) == 0
+        assert Polynomial.zero().evaluate({"z1": 7}) == 0
 
     def test_missing_variable(self):
         with pytest.raises(MissingVariableError):
-            poly_eval(P("z1*z9"), {"z1": 1})
+            P("z1*z9").evaluate({"z1": 1})
 
 
 class TestRationalExpr:
@@ -189,13 +188,6 @@ class TestRationalExpr:
         a, b = exprs[0]
         c = ratio(b.numerator * C(3), b.denominator * C(3))
         assert rat_equal(a, b) and rat_equal(b, c) and rat_equal(a, c)
-
-    def test_arithmetic(self):
-        half = ratio(C(1), C(2))
-        assert rat_equal(half + half, ratio(C(1), C(1)))
-        x = ratio(zvar(1), zvar(2))
-        assert rat_equal(x * ratio(zvar(2), C(1)), ratio(zvar(1), C(1)))
-        assert (x - x).is_zero()
 
 
 class TestMonomialSplit:
@@ -277,14 +269,14 @@ class TestDeterminant:
             n = rng.randint(1, 5)
             ints = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             polys = [[C(v) for v in row] for row in ints]
-            assert det_matrix(polys).constant_value() == self._gauss_det(ints)
+            assert det_matrix(polys).evaluate({}) == self._gauss_det(ints)
 
     def test_large_matrix_uses_fraction_free_path(self):
         rng = random.Random(8)
         n = 9
         ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         polys = [[C(v) for v in row] for row in ints]
-        assert det_matrix(polys).constant_value() == self._gauss_det(ints)
+        assert det_matrix(polys).evaluate({}) == self._gauss_det(ints)
 
     def test_symbolic_2x2(self):
         m = [[zvar(1), zvar(2)], [zvar(3), zvar(4)]]
