@@ -39,12 +39,12 @@ from .multigraph import (
 )
 from .forests import (
     Forest,
+    ForestSums,
     all_minors_check,
     enumerate_forests,
     enumerate_rooted_forests,
     forest_from_edges,
     forest_label,
-    forest_sum,
     inversion_count,
     upsilon,
     upsilon_rooted,

@@ -7,11 +7,13 @@ the bordered matrix becomes realizable by a graph with no cross-block edges;
 the solution is then a ratio of double sums of forest products over root sets
 drawing one node per block.  No edge leaves a block for another block, so
 this block confinement fixes the root that each distinguished row drains
-into, and each forest sum is one signed minor of the graph's Laplacian
-(:func:`forests.forest_sum`); forest enumeration is the reference that the
-tests compare against.  Under sign hypotheses on the distinguished rows and
-a reachability condition on negative edges, every component is certified a
-quotient of coefficientwise-nonnegative polynomials.
+into, and each forest sum is one signed minor of the graph's Laplacian.
+All of them delete the same rows, so one shared minor table
+(:class:`forests.ForestSums`) serves the whole solution; forest enumeration
+is the reference that the tests compare against.  Under sign hypotheses on
+the distinguished rows and a reachability condition on negative edges, every
+component is certified a quotient of coefficientwise-nonnegative
+polynomials.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .forests import forest_sum
+from .forests import ForestSums
 from .linsys import LinearSystem, Solution
 from .multigraph import (
     Laplacian,
@@ -38,6 +40,7 @@ from .symring import (
     is_nonpos,
     monomial_split,
     poly_sign,
+    sum_products,
 )
 
 
@@ -228,17 +231,12 @@ def _assemble(
         jk = blocks.j[blocks.block_of(col) - 1]
         rows[jk - 1][col - 1] = f
         rows[m][col - 1] = g
-    for c in range(1, m + 1):
-        if c in fills:
-            continue
-        s = Polynomial.zero()
-        for r in range(m):
-            s = s + rows[r][c - 1]
-        rows[m][c - 1] = -s
-    s = Polynomial.zero()
-    for r in range(m):
-        s = s + rows[r][m]
-    rows[m][m] = -s
+    for c in range(m + 1):  # column m+1 (the constants) is never filled
+        if c + 1 not in fills:
+            s = Polynomial.zero()
+            for r in range(m):
+                s = s + rows[r][c]
+            rows[m][c] = -s
     return Laplacian(rows)
 
 
@@ -293,39 +291,6 @@ def build_acompatible(
 # the forest-product solution
 
 
-def _family_sum(
-    system: LinearSystem,
-    blocks: BlockStructure,
-    lap: Laplacian,
-    skip: int | None = None,
-    ell: int | None = None,
-) -> Polynomial:
-    """Weighted forest sum over the root sets that leave out slot ``skip``.
-
-    A root set holds one node beta_i of every block i other than ``skip``,
-    the bordering node m+1 unless ``skip`` is d+1, and ``ell`` when a slot is
-    left out.  Its weight is the product of the entries a[j_i][beta_i].  By
-    block confinement each of its forests sends j_i to beta_i, m+1 to itself
-    and the left-out slot's node of F (j_k, or m+1 for k = d+1) to ``ell``,
-    so its forest sum is one signed minor of ``lap`` (:func:`forest_sum`).
-    """
-    d, last = blocks.d, blocks.m + 1
-    kept = [i for i in range(1, d + 1) if i != skip]
-    total = Polynomial.zero()
-    for picks in itertools.product(*(blocks.block_nodes(i) for i in kept)):
-        w = Polynomial.one()
-        images = {} if skip == d + 1 else {last: last}
-        for i, beta in zip(kept, picks):
-            w = w * system.a[blocks.j[i - 1] - 1][beta - 1]
-            images[blocks.j[i - 1]] = beta
-        if w.is_zero():
-            continue
-        if skip is not None:
-            images[blocks.j[skip - 1] if skip <= d else last] = ell
-        total = total + w * forest_sum(lap, images)
-    return total
-
-
 def solve_block(
     system: LinearSystem, blocks: BlockStructure, witness: ACompatibleWitness
 ) -> Solution:
@@ -338,27 +303,42 @@ def solve_block(
     full root sets, (-1)^(m-d) det(A).  No edge leaves a block for
     another block, nor the tail for a block, so a family is empty, and is
     skipped, when l lies in a block other than k, or when k is the bordering
-    slot and l is not in the tail.
+    slot and l is not in the tail.  Every forest sum deletes the rows
+    F = {j_1..j_d, m+1}, so all of them come from one :class:`ForestSums`
+    table, and each component is one :func:`sum_products` over
+    (-b_k * weight, minor) pairs.
     """
-    den = _family_sum(system, blocks, witness.laplacian)
-    d = blocks.d
+    d, last, j = blocks.d, blocks.m + 1, blocks.j
+    sums = ForestSums(witness.laplacian, blocks.distinguished())
+
+    def family(scale: Polynomial, skip: int | None = None, ell: int | None = None):
+        # Root sets: beta_i in each block i != skip, m+1 unless skip = d+1, and
+        # ell.  Block confinement sends j_i to beta_i, m+1 to itself and skip's
+        # node of F to ell: one signed minor, weighted by scale * a[j_i][beta_i].
+        kept = [i for i in range(1, d + 1) if i != skip]
+        for picks in itertools.product(*(blocks.block_nodes(i) for i in kept)):
+            w = scale
+            images = {} if skip == d + 1 else {last: last}
+            for i, beta in zip(kept, picks):
+                w = w * system.a[j[i - 1] - 1][beta - 1]
+                images[j[i - 1]] = beta
+            if w.is_zero():
+                continue
+            if skip is not None:
+                images[j[skip - 1] if skip <= d else last] = ell
+            sign, minor = sums.signed_minor(images)
+            yield (w if sign > 0 else -w), minor
+
+    minus_b = [-system.b[jk - 1] for jk in j] + [Polynomial.one()]
     nums = []
     for ell in range(1, system.m + 1):
         home = blocks.block_of(ell)
-        num = Polynomial.zero()
+        pairs = []
         for k in range(1, d + 2):
-            if home not in (0, k):
-                continue
-            minus_b = (
-                -system.b[blocks.j[k - 1] - 1] if k <= d else Polynomial.one()
-            )
-            if minus_b.is_zero():
-                continue
-            num = num + minus_b * _family_sum(
-                system, blocks, witness.laplacian, k, ell
-            )
-        nums.append(num)
-    return Solution(tuple(nums), den)
+            if home in (0, k) and minus_b[k - 1]:
+                pairs.extend(family(minus_b[k - 1], k, ell))
+        nums.append(sum_products(pairs))
+    return Solution(tuple(nums), sum_products(family(Polynomial.one())))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _report_solution(
 
     ``--oracle`` asks that Cramer's numerators and denominator equal the
     solver's up to one sign, and that the exact residual A*N + b*D vanish,
-    the one check that shares no code with the block solver.
+    the one check that shares no minor code with the block solver.
     """
     payload = {"solution": _solution_payload(solution)}
     if args.oracle:

@@ -6,9 +6,11 @@ the components are then trees, each rooted at (draining into) one node of B.
 Forest sums aggregate the products of edge labels over such forests, either
 unsigned or weighted by the parity of the root-assignment bijection.  The
 signed sums are signed Laplacian minors (all-minors matrix-tree theorem), so
-:func:`forest_sum` takes a family with a forced root assignment, as in block
-systems, as one determinant.  Enumeration is the reference that the tests
-compare against, and serves callers that need the individual forests.
+a family with a forced root assignment, as in block systems, is one minor.
+:class:`ForestSums` takes every family out of one node set F from one minor
+table of the Laplacian without rows F, so families that share F share their
+sub-minors.  Enumeration is the reference that the tests compare against,
+and serves callers that need the individual forests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .multigraph import Edge, Laplacian, Multidigraph, laplacian_of
-from .symring import Polynomial, det_matrix
+from .symring import Polynomial, minor_table
 
 
 @dataclass(frozen=True)
@@ -188,39 +190,44 @@ def upsilon_rooted(graph: Multidigraph, root: int) -> Polynomial:
 # minor identity
 
 
+def _kept(size: int, drop: Iterable[int]) -> tuple[int, ...]:
+    """0-based indices of 1..size outside ``drop``."""
+    drop = set(drop)
+    return tuple(i for i in range(size) if i + 1 not in drop)
+
+
 def minor_det(lap: Laplacian, drop_rows: Iterable[int], drop_cols: Iterable[int]) -> Polynomial:
     """Determinant of the Laplacian with the given rows/columns removed (1-based)."""
-    rows = set(drop_rows)
-    cols = set(drop_cols)
-    sub = [
-        [lap.rows[i][j] for j in range(lap.size) if j + 1 not in cols]
-        for i in range(lap.size)
-        if i + 1 not in rows
-    ]
-    return det_matrix(sub)
+    rows = [lap.rows[i] for i in _kept(lap.size, drop_rows)]
+    return minor_table(rows)(_kept(lap.size, drop_cols))
 
 
-def forest_sum(lap: Laplacian, images: Mapping[int, int]) -> Polynomial:
-    """Forest sum with a forced root assignment, as one signed Laplacian minor.
+class ForestSums:
+    """Forest sums with forced root assignments out of one node set F.
 
-    F is the key set of ``images`` and B = images(F).  Returns (-1)^(eps + inv)
-    times the minor of ``lap`` without rows F and columns B, with eps as in
-    :func:`all_minors_check` and inv the inversions of the assignment.  By the
-    all-minors matrix-tree theorem this is :func:`upsilon` of (F, B), on any
-    graph whose Laplacian is ``lap``, whenever every forest of that family
-    puts each f in F in the tree rooted at ``images[f]``: always for |F| = 1,
-    and in block systems by block confinement.
+    For an assignment F -> B the sum is (-1)^(eps + inv) times the minor of
+    ``lap`` without rows F and columns B, with eps as in
+    :func:`all_minors_check` and inv the inversions of the assignment.  By
+    the all-minors matrix-tree theorem this is :func:`upsilon` of (F, B), on
+    any graph whose Laplacian is ``lap``, whenever every forest of that
+    family puts each f in F in the tree rooted at its image: always for
+    |F| = 1, and in block systems by block confinement.  Every query reads
+    one shared :func:`symring.minor_table` of the rows outside F.
     """
-    f = sorted(images)
-    seq = [images[n] for n in f]
-    b = sorted(seq)
-    if len(set(b)) != len(b):
-        raise ValueError("root assignment is not injective")
-    if any(not (1 <= n <= lap.size) for n in f + b):
-        raise ValueError("root assignment has a node out of range")
-    minor = minor_det(lap, f, b)
-    eps = lap.size - len(f) + sum(f) + sum(b)
-    return minor if (eps + _inversions(seq)) % 2 == 0 else -minor
+
+    def __init__(self, lap: Laplacian, contains: Iterable[int]):
+        self.size, self.contains = lap.size, tuple(sorted(set(contains)))
+        self._minor = minor_table([lap.rows[i] for i in _kept(lap.size, self.contains)])
+
+    def signed_minor(self, images: Mapping[int, int]) -> tuple[int, Polynomial]:
+        """(s, M) whose product s*M is the forest sum of the assignment ``images``."""
+        if sorted(images) != list(self.contains) or len(set(images.values())) != len(images):
+            raise ValueError("root assignment is not a bijection from F")
+        seq = [images[n] for n in self.contains]
+        if any(not (1 <= n <= self.size) for n in self.contains + tuple(seq)):
+            raise ValueError("root assignment has a node out of range")
+        eps = self.size - len(seq) + sum(self.contains) + sum(seq) + _inversions(seq)
+        return (-1 if eps % 2 else 1), self._minor(_kept(self.size, seq))
 
 
 def all_minors_check(
@@ -234,9 +241,6 @@ def all_minors_check(
     b = _as_node_set(graph, roots, "root set")
     if len(f) != len(b):
         raise ValueError("node sets must have equal size")
-    lap = laplacian_of(graph)
-    minor = minor_det(lap, f, b)
-    eps = graph.node_count - len(f) + sum(f) + sum(b)
+    sign, minor = ForestSums(laplacian_of(graph), f).signed_minor(dict(zip(f, b)))
     signed = upsilon_signed(graph, f, b)
-    expected = signed if eps % 2 == 0 else -signed
-    return minor == expected
+    return minor == (signed if sign > 0 else -signed)

@@ -7,8 +7,8 @@ the numerators N over the one denominator D, and by the all-minors
 matrix-tree theorem D = +-det(A).  So the Cramer oracle (exact determinants)
 agrees with a solver exactly when its (N, D) is the solver's up to one sign,
 and the exact residual is the polynomial identity A*N + b*D = 0.  The block
-solver takes its sums as determinants too, so for it the residual is the
-check that shares no code with the solver.
+solver takes its sums as minors too, so for it the residual is the check
+that shares no minor code with the solver.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .symring import (
     det_matrix,
     parse_poly,
     ratio,
+    sum_products,
 )
 
 
@@ -155,13 +156,11 @@ def residual_check(system: LinearSystem, solution: Solution) -> bool:
     """Exact check that A*x + b is the zero vector: A*N + b*D = 0 (D != 0)."""
     if len(solution) != system.m:
         return False
-    for a_row, b_i in zip(system.a, system.b):
-        acc = b_i * solution.denominator
-        for a_ij, num in zip(a_row, solution.numerators):
-            acc = acc + a_ij * num
-        if not acc.is_zero():
-            return False
-    return True
+    den, nums = solution.denominator, solution.numerators
+    return all(
+        sum_products([(b_i, den), *zip(a_row, nums)]).is_zero()
+        for a_row, b_i in zip(system.a, system.b)
+    )
 
 
 def permute_rows(system: LinearSystem, order: Sequence[int]) -> LinearSystem:

@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .forests import Forest, enumerate_rooted_forests, forest_from_edges
 from .linsys import LinearSystem, Solution, bordered_laplacian, tree_solution
 from .multigraph import (
-    Edge,
     Laplacian,
     Multidigraph,
     canonical_graph,
@@ -59,13 +58,6 @@ class PGraphWitness:
     graph: Multidigraph
     mu: Mapping[int, frozenset[int]]
     group_sums: Mapping[int, Polynomial]
-
-    def negative_edges(self) -> list[Edge]:
-        return [
-            e
-            for e in sorted(self.graph.edges, key=lambda e: e.eid)
-            if poly_sign(e.label) == Sign.NONPOS
-        ]
 
 
 def _normalize_mu(

@@ -6,8 +6,11 @@ with no zero coefficients.  Equality is structural equality of the canonical
 form, so polynomial identity testing is fully reliable.  The public
 constructor validates outside input; arithmetic results are canonicalized
 once, without re-validation.  Rational expressions are reduced for display
-and evaluation only; they have no arithmetic.  Determinants are memoized
-cofactor expansion only.
+and evaluation only; they have no arithmetic.  Sums of products are
+accumulated into one term map and canonicalized once (:func:`sum_products`).
+All minors and determinants come from one kind of table: memoized cofactor
+expansion over a fixed row set, whose memo is shared by every query
+(:func:`minor_table`).
 
 The term order is graded lexicographic by variable name: higher total degree
 first, ties broken lexicographically on the sparse exponent vectors.  Any
@@ -27,7 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 # Sparse exponent map: ((variable name, exponent > 0), ...) sorted by name.
 Exponents = tuple[tuple[str, int], ...]
@@ -55,11 +58,6 @@ class Sign(Enum):
     NONNEG = "nonneg"
     NONPOS = "nonpos"
     MIXED = "mixed"
-
-    @property
-    def strict(self) -> bool:
-        """Whether nonzero values of this class are strict on positive points."""
-        return self in (Sign.NONNEG, Sign.NONPOS)
 
 
 def _term_key(term: tuple[Exponents, Fraction]) -> tuple:
@@ -192,12 +190,7 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in q._terms:
-                exps = _mul_exps(e1, e2)
-                out[exps] = out[exps] + c1 * c2 if exps in out else c1 * c2
-        return Polynomial._build(out)
+        return sum_products(((self, q),))
 
     __rmul__ = __mul__
 
@@ -277,10 +270,25 @@ def _mul_exps(e1: Exponents, e2: Exponents) -> Exponents:
         return e2
     if not e2:
         return e1
-    merged = dict(e1)
-    for name, e in e2:
-        merged[name] = merged.get(name, 0) + e
-    return tuple(sorted(merged.items()))
+    # reuse the factors' (name, exponent) pairs: in a memoized minor table,
+    # pairs rebuilt for every term were most of its memory
+    merged = {p[0]: p for p in e1}
+    for p in e2:
+        q = merged.get(p[0])
+        merged[p[0]] = p if q is None else (p[0], q[1] + p[1])
+    return tuple(sorted(merged.values()))
+
+
+def sum_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
+    """The sum of p*q over the pairs, accumulated into one term map and
+    canonicalized once, rather than once per partial sum."""
+    out: dict[Exponents, Fraction] = {}
+    for p, q in pairs:
+        for e1, c1 in p._terms:
+            for e2, c2 in q._terms:
+                exps = _mul_exps(e1, e2)
+                out[exps] = out[exps] + c1 * c2 if exps in out else c1 * c2
+    return Polynomial._build(out)
 
 
 _ZERO = Polynomial()
@@ -434,34 +442,45 @@ def rat_equal(a: RationalExpr, b: RationalExpr) -> bool:
 # determinants of polynomial matrices
 
 
-def det_matrix(rows: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square matrix of polynomials.
+def minor_table(
+    rows: Sequence[Sequence[Polynomial]],
+) -> Callable[[Sequence[int]], Polynomial]:
+    """The minors of a k x n polynomial matrix, as a function of their columns.
 
-    Cofactor expansion along the rows, memoized on the set of columns still
-    unused: 2^n minors of at most n products each, and no division.
+    The returned function maps t <= k column indices (0-based, in the order
+    given) to the determinant of the last t rows on those columns, so k
+    columns give a k x k minor.  It expands by cofactors along the first of
+    those rows, each step one :func:`sum_products`, and keeps every minor in
+    one memo shared by all queries: queries whose columns overlap share
+    their sub-minors.  No division is used.
     """
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
+    k = len(rows)
+    # (entry, -entry) for the even and odd cofactor positions; None for zero
+    signed = [[(e, -e) if e else None for e in row] for row in rows]
     memo: dict[tuple[int, ...], Polynomial] = {(): Polynomial.one()}
 
-    def minor(cols: tuple[int, ...]) -> Polynomial:
-        if cols in memo:
-            return memo[cols]
-        r = n - len(cols)  # expand along the first unused row
-        total = Polynomial.zero()
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            rest = cols[:idx] + cols[idx + 1 :]
-            term = entry * minor(rest)
-            total = total + term if idx % 2 == 0 else total - term
-        memo[cols] = total
-        return total
+    def minor(cols: Sequence[int]) -> Polynomial:
+        cols = tuple(cols)
+        if cols not in memo:
+            if len(cols) > k:
+                raise ValueError(f"{len(cols)} columns for a minor of {k} rows")
+            row = signed[k - len(cols)]
+            memo[cols] = sum_products(
+                (row[c][idx & 1], minor(cols[:idx] + cols[idx + 1 :]))
+                for idx, c in enumerate(cols)
+                if row[c] is not None
+            )
+        return memo[cols]
 
-    return minor(tuple(range(n)))
+    return minor
+
+
+def det_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Exact determinant of a square matrix of polynomials: the full-column
+    query of its :func:`minor_table`, 2^n minors of at most n products each."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return minor_table(rows)(range(len(rows)))
 
 
 # ---------------------------------------------------------------------------

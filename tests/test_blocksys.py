@@ -17,11 +17,12 @@ from forestsolve import (
     choose_j,
     cramer_oracle,
     enumerate_forests,
+    ForestSums,
     find_pgraph,
-    forest_sum,
     is_nonneg,
     laplacian_of,
     parse_poly,
+    poly_sign,
     rat_equal,
     ratio,
     residual_check,
@@ -33,7 +34,7 @@ from forestsolve import (
 )
 from forestsolve.blocksys import _candidate_matrices
 from forestsolve.forests import enumerate_rooted_forests, upsilon
-from forestsolve.symring import det_matrix
+from forestsolve.symring import Sign, det_matrix
 
 from conftest import (
     ZERO,
@@ -262,6 +263,7 @@ class TestFamilyMinors:
             assert blocks.m0 > 0
             witness = build_acompatible(system, blocks)
             f_set = blocks.distinguished()
+            sums = ForestSums(witness.laplacian, f_set)  # one table per system
             for roots, images in block_families(blocks):
                 if images is None:
                     continue
@@ -269,9 +271,8 @@ class TestFamilyMinors:
                 tail_hits += any(
                     blocks.block_of(n) == 0 and n <= blocks.m for n in roots
                 )
-                assert forest_sum(witness.laplacian, images) == upsilon(
-                    witness.graph, f_set, roots
-                )
+                sign, minor = sums.signed_minor(images)
+                assert sign * minor == upsilon(witness.graph, f_set, roots)
         assert tail_hits
 
     def test_skipped_families_are_empty(self, block_three_system, five_var_system):
@@ -331,7 +332,10 @@ class TestConditionStar:
         outcome = certify_block_nonneg(system, blocks)
         assert outcome is not None
         _, witness = outcome
-        negatives = witness.negative_edges()
+        negatives = [
+            e for e in witness.graph.edges if poly_sign(e.label) == Sign.NONPOS
+        ]
+        assert set(witness.mu) == {e.eid for e in negatives}
         assert negatives and all(e.target == 6 for e in negatives)
         ok, _ = check_condition_star(witness.graph, blocks)
         assert ok

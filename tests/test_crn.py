@@ -312,7 +312,43 @@ class TestParameterize:
         assert "A" in str(err.value)
 
 
+def _nsite_closed_form(n: int, point: dict) -> dict:
+    """Steady state of the n-site network, each enzyme split in proportion:
+    ES_i = a_i S_i E / (b_i + c_i) and E + sum ES_i = Etot, so
+    E = Etot / (1 + sum a_i S_i / (b_i + c_i)); likewise F and FS_i."""
+    p = point
+    es = {f"ES{i}": p[f"a{i}"] * p[f"S{i}"] / (p[f"b{i}"] + p[f"c{i}"]) for i in range(n)}
+    fs = {
+        f"FS{i}": p[f"d{i}"] * p[f"S{i}"] / (p[f"e{i}"] + p[f"f{i}"])
+        for i in range(1, n + 1)
+    }
+    e = p["Etot"] / (1 + sum(es.values()))
+    f = p["Ftot"] / (1 + sum(fs.values()))
+    return {"E": e, "F": f, **{k: v * e for k, v in es.items()}, **{k: v * f for k, v in fs.items()}}
+
+
 class TestNSite:
+    def test_n5_parameterization_matches_closed_form(self):
+        n = 5
+        net, task = nsite_network_and_task(n)
+        report = parameterize(net, task, blocks=BlockStructure((n + 1, n + 1), 0, (1, n + 2)))
+        assert report.certified and report.system.m == 12
+        assert not report.zero_set
+        names = sorted(
+            {
+                v
+                for expr in report.solution.values()
+                for v in expr.numerator.variables() + expr.denominator.variables()
+            }
+        )
+        rng = random.Random(5)
+        for _ in range(2):
+            point = {v: Fraction(rng.randint(1, 30), rng.randint(1, 10)) for v in names}
+            expected = _nsite_closed_form(n, point)
+            assert set(expected) == set(task.solve_for)
+            for name in task.solve_for:
+                assert report.solution[name].evaluate(point) == expected[name]
+
     def test_cramer_oracle_at_n4_matches_parameterization(self):
         n = 4
         net, task = nsite_network_and_task(n)

@@ -341,7 +341,10 @@ class TestCertifyNonneg:
         for got, want in zip(solution, oracle):
             assert rat_equal(got, want)
             assert is_nonneg(got.numerator) and is_nonneg(got.denominator)
-        assert len(witness.negative_edges()) == 2
+        negatives = {
+            e.eid for e in witness.graph.edges if poly_sign(e.label) == Sign.NONPOS
+        }
+        assert set(witness.mu) == negatives and len(negatives) == 2
 
     def test_mmatrix_not_certified_despite_nonnegative_solution(
         self, mmatrix_system
