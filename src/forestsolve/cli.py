@@ -1,9 +1,10 @@
 """Command-line interface: solve, certify, block variants, self-checks.
 
 Exit codes are part of the contract: 0 success (or certified), 1 no
-certificate found, 2 input error, 3 internal invariant failure (an oracle
-disagreement).  Each subcommand accepts only the options its handler reads.
-The one randomized command, ``mtt-check``, takes an explicit seed, and every
+certificate found, 2 input error, 3 internal failure (an oracle disagreement,
+a failed invariant or any other exception raised past the input checks).
+Each subcommand accepts only the options its handler reads.  The one
+randomized command, ``mtt-check``, takes an explicit seed, and every
 command prints byte-identical output for identical inputs.
 """
 
@@ -174,9 +175,9 @@ def _load_block_system(args) -> tuple[linsys.LinearSystem, blocksys.BlockStructu
     spec = data.get("blocks")
     if spec is None:
         return system, crn.propose_blocks(system)
-    if not isinstance(spec, dict) or not isinstance(spec["m0"], int):
+    if not isinstance(spec, dict) or not isinstance(spec.get("m0"), int):
         raise ValueError("'blocks' must be an object with an integer 'm0'")
-    sizes = tuple(multigraph.json_list(spec["sizes"], int, "'sizes'"))
+    sizes = tuple(multigraph.json_list(spec.get("sizes"), int, "'sizes'"))
     m0 = spec["m0"]
     j = tuple(multigraph.json_list(spec.get("j") or [], int, "'j'"))
     return system, blocksys.BlockStructure(
@@ -375,13 +376,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         crn.NetworkParseError,
         crn.NonlinearSystemError,
         FileNotFoundError,
-        KeyError,
         ValueError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

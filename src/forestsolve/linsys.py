@@ -190,10 +190,10 @@ def system_from_json(data: Mapping) -> LinearSystem:
     if not isinstance(data, Mapping):
         raise ValueError("a system must be a JSON object")
     return LinearSystem.build(
-        json_list(data["variables"], str, "'variables'"),
+        json_list(data.get("variables"), str, "'variables'"),
         [
             [parse_poly(s) for s in json_list(row, str, "a row of 'A'")]
-            for row in json_list(data["A"], list, "'A'")
+            for row in json_list(data.get("A"), list, "'A'")
         ],
-        [parse_poly(s) for s in json_list(data["b"], str, "'b'")],
+        [parse_poly(s) for s in json_list(data.get("b"), str, "'b'")],
     )

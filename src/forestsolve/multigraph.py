@@ -341,14 +341,14 @@ def json_list(value, kind: type, what: str) -> list:
 
 
 def graph_from_json(data: Mapping) -> Multidigraph:
-    if not isinstance(data, Mapping) or not isinstance(data["nodes"], int):
+    if not isinstance(data, Mapping) or not isinstance(data.get("nodes"), int):
         raise ValueError("a graph must be an object with an integer 'nodes'")
     triples = []
-    for e in json_list(data["edges"], dict, "'edges'"):
+    for e in json_list(data.get("edges"), dict, "'edges'"):
         if not (
-            isinstance(e["src"], int)
-            and isinstance(e["tgt"], int)
-            and isinstance(e["label"], str)
+            isinstance(e.get("src"), int)
+            and isinstance(e.get("tgt"), int)
+            and isinstance(e.get("label"), str)
         ):
             raise ValueError("an edge needs integer 'src', 'tgt' and a string 'label'")
         triples.append((e["src"], e["tgt"], parse_poly(e["label"])))

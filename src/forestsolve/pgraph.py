@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .forests import Forest, enumerate_rooted_forests, forest_from_edges
 from .linsys import LinearSystem, Solution, bordered_laplacian, tree_solution
@@ -186,28 +186,41 @@ def is_pgraph(
 # searching for a certificate on a fixed graph
 
 
-def _arc_cycle_nodes(graph: Multidigraph) -> dict[tuple[int, int], list[set[int]]]:
-    """Node sets of the simple cycles through each arc of the graph."""
-    by_arc: dict[tuple[int, int], list[set[int]]] = {arc: [] for arc in graph.arcs()}
+def _arc_common_nodes(graph: Multidigraph) -> dict[tuple[int, int], frozenset[int]]:
+    """For each arc, the nodes on every simple cycle through it (iii b).
+
+    An arc on no cycle keeps every node: the intersection of no node sets.
+    """
+    common = dict.fromkeys(graph.arcs(), frozenset(graph.nodes))
     for nodes in node_cycles(graph):
-        node_set = set(nodes)
-        for s, t in zip(nodes, nodes[1:] + nodes[:1]):
-            by_arc[(s, t)].append(node_set)
-    return by_arc
+        node_set = frozenset(nodes)
+        for arc in zip(nodes, nodes[1:] + nodes[:1]):
+            common[arc] &= node_set
+    return common
+
+
+def _cycle_through_two(graph: Multidigraph, arcs: Collection[tuple[int, int]]) -> bool:
+    """Whether some simple cycle of the graph runs along two of ``arcs`` (ii)."""
+    hops = (zip(c, c[1:] + c[:1]) for c in node_cycles(graph))
+    return any(sum(arc in arcs for arc in cycle) > 1 for cycle in hops)
 
 
 def find_mu(graph: Multidigraph) -> dict[int, frozenset[int]] | None:
     """Search for a grouping making the fixed graph a certificate.
 
     Whole edges only (no splitting); first solution in deterministic order.
+    Condition (ii) is read on node cycles, since a simple cycle passes each
+    arc once; (iii b) is one lookup in the per-arc table of common nodes.
     """
     signs = {e.eid: poly_sign(e.label) for e in graph.edges}
     if any(s in (Sign.MIXED, Sign.ZERO) for s in signs.values()):
         return None
-    cycles_by_arc = _arc_cycle_nodes(graph)
-    for cyc in simple_cycles(graph):
-        if sum(1 for e in cyc if signs[e.eid] == Sign.NONPOS) > 1:
-            return None
+    common = _arc_common_nodes(graph)
+    negative_arcs = {
+        (e.source, e.target) for e in graph.edges if signs[e.eid] == Sign.NONPOS
+    }
+    if _cycle_through_two(graph, negative_arcs):
+        return None
 
     mu: dict[int, frozenset[int]] = {}
     for source in graph.nodes:
@@ -216,14 +229,7 @@ def find_mu(graph: Multidigraph) -> dict[int, frozenset[int]] | None:
             continue
         pool = [e for e in graph.out_edges(source) if signs[e.eid] == Sign.NONNEG]
         candidates = {
-            need.eid: [
-                e.eid
-                for e in pool
-                if all(
-                    need.target in nodes
-                    for nodes in cycles_by_arc[(source, e.target)]
-                )
-            ]
+            need.eid: [e.eid for e in pool if need.target in common[(source, e.target)]]
             for need in needs
         }
 
@@ -330,11 +336,12 @@ def find_pgraph(
     Strategy: no edges at zero entries; positive monomials of each entry
     become parallel edges; negative monomials merge into one negative edge
     per arc.  A negative edge's monomial mass must be cancelled by positive
-    edges from the same source whose cycles all pass its target; the
-    allocation (with positive edges split between groups when a single edge
-    must serve several) is solved per source and exponent as an exact
-    transportation problem.  Complete at this monomial granularity; finer
-    real-coefficient splittings are not explored.
+    edges from the same source whose cycles all pass its target (one lookup
+    in the per-arc table of common cycle nodes); the allocation (with positive
+    edges split between groups when a single edge must serve several) is
+    solved per source and exponent as an exact transportation problem.
+    Complete at this monomial granularity; finer real-coefficient splittings
+    are not explored.
     """
     if not isinstance(lap, Laplacian):
         lap = Laplacian(lap)
@@ -363,11 +370,9 @@ def find_pgraph(
                 neg_label[(j, i)] = neg
 
     skeleton = canonical_graph(lap)
-    cycles_by_arc = _arc_cycle_nodes(skeleton)
-    for nodes in node_cycles(skeleton):
-        arcs = set(zip(nodes, nodes[1:] + nodes[:1]))
-        if sum(1 for a in arcs if a in neg_label) > 1:
-            return None
+    common = _arc_common_nodes(skeleton)
+    if _cycle_through_two(skeleton, neg_label):
+        return None
 
     # parts[(j, i, monomial index)] = [(label part, need arc or None), ...]
     parts: dict[tuple[int, int, int], list[tuple[Polynomial, tuple[int, int] | None]]] = {}
@@ -398,12 +403,7 @@ def find_pgraph(
             ]
 
             def ok(i: int, j: int) -> bool:
-                supply_target = pool[i][0][1]
-                need_target = need_arcs[j][1]
-                return all(
-                    need_target in nodes
-                    for nodes in cycles_by_arc[(source, supply_target)]
-                )
+                return need_arcs[j][1] in common[(source, pool[i][0][1])]
 
             flows = _max_flow(
                 [mono.terms[0][1] for _, mono in pool],

@@ -9,12 +9,14 @@ import pytest
 
 from forestsolve import (
     BlockStructure,
+    MissingVariableError,
     Solution,
     blocksys,
     cli,
     cramer_oracle,
     linsys,
     parameterize,
+    pgraph,
     system_to_json,
 )
 
@@ -261,6 +263,12 @@ class TestErrors:
             ("graph-dot", {"nodes": 2, "edges": [1]}),
             ("graph-dot", {"nodes": 2, "edges": [{"src": "1", "tgt": 2, "label": "z1"}]}),
             ("graph-dot", 5),
+            ("solve", {"variables": ["x1"], "b": ["1"]}),
+            (
+                "block-solve",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": {"sizes": [1]}},
+            ),
+            ("graph-dot", {"nodes": 2, "edges": [{"tgt": 2, "label": "z1"}]}),
         ],
         ids=[
             "top-level-list",
@@ -273,6 +281,9 @@ class TestErrors:
             "edge-number",
             "edge-string-endpoint",
             "top-level-number",
+            "missing-A",
+            "missing-m0",
+            "edge-missing-src",
         ],
     )
     def test_wrong_shape_exits_2(self, capsys, tmp_path, command, data):
@@ -283,6 +294,19 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("input error")
+
+    @pytest.mark.parametrize(
+        "fault", [KeyError("internal"), RuntimeError("boom"), MissingVariableError("z9")]
+    )
+    def test_internal_fault_exits_3(self, capsys, monkeypatch, system_file, fault):
+        def broken(lap):
+            raise fault
+
+        monkeypatch.setattr(pgraph, "find_pgraph", broken)
+        code, out, err = run(capsys, ["certify", "--input", system_file])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"internal error: {type(fault).__name__}")
 
     def test_output_file(self, capsys, tmp_path, system_file):
         out_path = tmp_path / "result.json"

@@ -242,6 +242,18 @@ class TestFormats:
         assert laplacian_of(back) == laplacian_of(graph)
         assert graph_to_json(back) == data
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"edges": []}, "nodes"),
+            ({"nodes": 2}, "edges"),
+            ({"nodes": 2, "edges": [{"src": 1, "tgt": 2}]}, "label"),
+        ],
+    )
+    def test_missing_key_is_a_value_error_naming_it(self, data, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            graph_from_json(data)
+
     def test_dot_deterministic_and_marked(self, three_var_system):
         graph = canonical_graph(bordered_laplacian(three_var_system))
         dot = to_dot(graph)

@@ -32,6 +32,13 @@ from forestsolve import (
     upsilon_rooted,
     validate_partition,
 )
+from forestsolve.multigraph import (
+    node_cycles,
+    random_multidigraph,
+    reaches_avoiding,
+    simple_cycles,
+)
+from forestsolve.pgraph import _arc_common_nodes
 from forestsolve.symring import Sign
 
 from conftest import ZERO, C, random_certificate_cases, zvar
@@ -142,6 +149,64 @@ class TestIsPgraph:
         mu = find_mu(split_witness.graph)
         assert mu is not None
         assert is_pgraph(split_witness.graph, mu) is not None
+
+    def test_find_mu_reads_condition_ii_on_node_cycles(self):
+        # an edge-level cycle with two negative edges must refuse; any grouping
+        # found must validate
+        rng = random.Random(11)
+        refused = found = 0
+        for _ in range(150):
+            graph = random_multidigraph(rng, max_nodes=5, max_edges=9)
+            two_negative = any(
+                sum(poly_sign(e.label) == Sign.NONPOS for e in cycle) > 1
+                for cycle in simple_cycles(graph)
+            )
+            mu = find_mu(graph)
+            if two_negative:
+                assert mu is None
+                refused += 1
+            if mu is not None:
+                assert is_pgraph(graph, mu) is not None
+                found += 1
+        assert refused and found
+
+
+def _complete_digraph(n: int) -> Multidigraph:
+    return Multidigraph.from_edges(
+        n, [(s, t, C(1)) for s in range(1, n + 1) for t in range(1, n + 1) if s != t]
+    )
+
+
+class TestArcCommonNodes:
+    """The table behind condition (iii b): the nodes on every cycle through an arc."""
+
+    def test_table_matches_cycle_intersection_and_reachability(self):
+        rng = random.Random(5)
+        graphs = [random_multidigraph(rng, max_nodes=6, max_edges=14) for _ in range(60)]
+        graphs += [_complete_digraph(n) for n in range(3, 7)]
+        for graph in graphs:
+            table = _arc_common_nodes(graph)
+            assert set(table) == set(graph.arcs())
+            cycles = node_cycles(graph)
+            for s, u in graph.arcs():
+                through = [
+                    set(c) for c in cycles if (s, u) in zip(c, c[1:] + c[:1])
+                ]
+                for t in graph.nodes:
+                    on_every = all(t in nodes for nodes in through)
+                    assert (t in table[(s, u)]) == on_every
+                    # a cycle through s -> u avoiding t is a path u ~> s in G - t
+                    assert on_every == (
+                        t in (s, u) or not reaches_avoiding(graph, u, s, t)
+                    )
+
+    def test_arc_on_no_cycle_keeps_every_node(self):
+        graph = Multidigraph.from_edges(3, [(1, 2, C(1)), (2, 1, C(1)), (2, 3, C(1))])
+        assert _arc_common_nodes(graph) == {
+            (1, 2): {1, 2},
+            (2, 1): {1, 2},
+            (2, 3): {1, 2, 3},
+        }
 
 
 class TestFindPgraph:
