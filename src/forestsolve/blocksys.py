@@ -2,18 +2,20 @@
 
 The systems handled here have a coefficient matrix made of d square diagonal
 blocks followed by arbitrary trailing rows, with at most one nonzero constant
-per block.  One distinguished row per block is released and refilled so that
-the bordered matrix becomes realizable by a graph with no cross-block edges;
-the solution is then a ratio of double sums of forest products over root sets
-drawing one node per block.  No edge leaves a block for another block, so
-this block confinement fixes the root that each distinguished row drains
-into, and each forest sum is one signed minor of the graph's Laplacian.
-All of them delete the same rows, so one shared minor table
-(:class:`forests.ForestSums`) serves the whole solution; forest enumeration
-is the reference that the tests compare against.  Under sign hypotheses on
-the distinguished rows and a reachability condition on negative edges, every
-component is certified a quotient of coefficientwise-nonnegative
-polynomials.
+per block.  One distinguished row per block is released and refilled by
+column sums, so that the bordered matrix becomes realizable by a graph with
+no cross-block edges; solving and certification both use this one
+realization.  The solution is then a ratio of double sums of forest products
+over root sets drawing one node per block.  No edge leaves a block for
+another block, so this block confinement fixes the root that each
+distinguished row drains into, and each forest sum is one signed minor of
+the graph's Laplacian.  All of them delete the same rows, so one shared
+minor table (:class:`forests.ForestSums`) serves the whole solution; forest
+enumeration is the reference that the tests compare against.  Under sign
+hypotheses on the distinguished rows and a reachability condition on
+negative edges, every component is certified a quotient of
+coefficientwise-nonnegative polynomials; a realization with no certificate
+is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .forests import ForestSums
 from .linsys import LinearSystem, Solution
@@ -200,87 +202,42 @@ def validate_acompatible(
     return problems
 
 
-def _column_remainder(
-    system: LinearSystem, blocks: BlockStructure, col: int
-) -> Polynomial:
-    """Column sum of A over all rows except the column's distinguished row."""
-    k = blocks.block_of(col)
-    jk = blocks.j[k - 1]
-    total = Polynomial.zero()
-    for r in range(1, system.m + 1):
-        if r != jk:
-            total = total + system.a[r - 1][col - 1]
-    return total
+def _realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
+    """The column-sum realization of the bordered matrix.
 
-
-def _assemble(
-    system: LinearSystem,
-    blocks: BlockStructure,
-    fills: dict[int, tuple[Polynomial, Polynomial]],
-) -> Laplacian:
-    """Bordered matrix from per-column (distinguished-row, last-row) fills."""
-    m = blocks.m
-    rows = [[Polynomial.zero()] * (m + 1) for _ in range(m + 1)]
-    for r in range(1, m + 1):
-        if r in blocks.j:
-            continue
-        for c in range(1, m + 1):
-            rows[r - 1][c - 1] = system.a[r - 1][c - 1]
-        rows[r - 1][m] = system.b[r - 1]
-    for col, (f, g) in fills.items():
-        jk = blocks.j[blocks.block_of(col) - 1]
-        rows[jk - 1][col - 1] = f
-        rows[m][col - 1] = g
-    for c in range(m + 1):  # column m+1 (the constants) is never filled
-        if c + 1 not in fills:
-            s = Polynomial.zero()
-            for r in range(m):
-                s = s + rows[r][c]
-            rows[m][c] = -s
-    return Laplacian(rows)
-
-
-def _default_fill(
-    remainder: Polynomial, diagonal: bool
-) -> tuple[Polynomial, Polynomial]:
-    """Split -remainder between the distinguished row and the last row.
-
-    Off the diagonal the distinguished row takes the nonnegative monomials
-    (the rest drains to the bordering node); on the diagonal it takes the
-    nonpositive ones, keeping the diagonal sign admissible.
+    Every other row copies (A | b).  In each block column the distinguished
+    row takes the sign-compatible monomials of minus the rest of the column:
+    off the diagonal the nonnegative ones, on the diagonal the nonpositive
+    ones, which minimizes negative entries off the diagonal.  The last row
+    then makes every column sum to zero, so it takes what the distinguished
+    row left.
     """
-    f = Polynomial.zero()
-    g = Polynomial.zero()
-    if remainder.is_zero():
-        return f, g
-    for mono in monomial_split(-remainder):
-        to_row = is_nonpos(mono) if diagonal else is_nonneg(mono)
-        if to_row:
-            f = f + mono
-        else:
-            g = g + mono
-    return f, g
+    m = blocks.m
+    zero = Polynomial.zero()
+    rows = [
+        [zero] * (m + 1) if r in blocks.j else [*system.a[r - 1], system.b[r - 1]]
+        for r in range(1, m + 1)
+    ]
+    for k, jk in enumerate(blocks.j, start=1):
+        for col in blocks.block_nodes(k):
+            rest = -sum((row[col - 1] for row in rows), zero)
+            keep = is_nonpos if col == jk else is_nonneg
+            if rest:
+                rows[jk - 1][col - 1] = sum(
+                    (mono for mono in monomial_split(rest) if keep(mono)), zero
+                )
+    rows.append([-sum((row[c] for row in rows), zero) for c in range(m + 1)])
+    return Laplacian(rows)
 
 
 def build_acompatible(
     system: LinearSystem, blocks: BlockStructure
 ) -> ACompatibleWitness | None:
-    """Heuristic realization: refill each distinguished row by column sums.
-
-    Column by column, the distinguished row receives minus the rest of the
-    column (its sign-compatible monomials; the remainder goes to the last
-    row), which minimizes negative entries off the diagonal.
-    """
+    """The canonical graph of the column-sum realization, if it keeps every
+    non-distinguished row and confines its edges to their blocks."""
     if validate_block_form(system, blocks):
         raise ValueError("system is not in block form")
-    fills = {}
-    for k in range(1, blocks.d + 1):
-        jk = blocks.j[k - 1]
-        for col in blocks.block_nodes(k):
-            fills[col] = _default_fill(
-                _column_remainder(system, blocks, col), diagonal=(col == jk)
-            )
-    lap = _assemble(system, blocks, fills)
+    lap = _realization(system, blocks)
     graph = canonical_graph(lap)
     if validate_acompatible(graph, blocks, system):
         return None
@@ -396,67 +353,16 @@ def zero_components(
     return frozenset(out)
 
 
-def _fill_options(
-    remainder: Polynomial, diagonal: bool
-) -> list[tuple[Polynomial, Polynomial]]:
-    """All monomial splits of -remainder between the two free rows, default first."""
-    default = _default_fill(remainder, diagonal)
-    if remainder.is_zero():
-        return [default]
-    monos = monomial_split(-remainder)
-    options = [default]
-    for mask in range(1 << len(monos)):
-        f = Polynomial.zero()
-        g = Polynomial.zero()
-        for idx, mono in enumerate(monos):
-            if mask >> idx & 1:
-                f = f + mono
-            else:
-                g = g + mono
-        if (f, g) != default:
-            options.append((f, g))
-    return options
-
-
-def _candidate_matrices(
-    system: LinearSystem, blocks: BlockStructure, budget: int
-) -> Iterator[Laplacian]:
-    """Realizable bordered matrices, default fill first, then nearby variants."""
-    cols = []
-    for k in range(1, blocks.d + 1):
-        jk = blocks.j[k - 1]
-        cols.extend((col, col == jk) for col in blocks.block_nodes(k))
-    per_col = [
-        _fill_options(_column_remainder(system, blocks, col), diag)
-        for col, diag in cols
-    ]
-    emitted = 0
-    for changes in range(len(cols) + 1):
-        if emitted >= budget:
-            return
-        for which in itertools.combinations(range(len(cols)), changes):
-            alt_pools = [
-                per_col[i][1:] if i in which else [per_col[i][0]]
-                for i in range(len(cols))
-            ]
-            for combo in itertools.product(*alt_pools):
-                if emitted >= budget:
-                    return
-                fills = {cols[i][0]: combo[i] for i in range(len(cols))}
-                emitted += 1
-                yield _assemble(system, blocks, fills)
-
-
 def certify_block_nonneg(
-    system: LinearSystem, blocks: BlockStructure, budget: int = 64
+    system: LinearSystem, blocks: BlockStructure
 ) -> tuple[Solution, PGraphWitness] | None:
-    """Certify nonnegativity of the block solution.
+    """Certify nonnegativity of the block solution, or refuse.
 
     Requires nonnegative distinguished rows and nonpositive distinguished
-    constants.  Tries realizable bordered matrices (heuristic fill first, up
-    to ``budget`` variants), looking for a certificate graph that also passes
-    the negative-edge reachability condition; on success the solution is
-    computed and its numerators/denominators verified nonnegative.
+    constants.  Looks for a certificate graph of the column-sum realization
+    (the matrix that :func:`build_acompatible` realizes) that also passes the
+    negative-edge reachability condition; on success the solution is
+    computed and its numerators and denominator verified nonnegative.
     """
     problems = validate_block_form(system, blocks)
     if problems:
@@ -472,27 +378,23 @@ def certify_block_nonneg(
     if hypothesis:
         raise BlockHypothesisError(hypothesis)
 
-    for attempt, lap in enumerate(_candidate_matrices(system, blocks, budget)):
-        found = find_pgraph(lap)
-        if found is None:
-            log.info("candidate %d: no certificate graph", attempt)
-            continue
-        graph, mu = found
-        if validate_acompatible(graph, blocks, system):
-            continue
-        star_ok, star_witness = check_condition_star(graph, blocks)
-        if not star_ok:
-            log.info(
-                "candidate %d: reachability condition fails at %s",
-                attempt,
-                star_witness,
-            )
-            continue
-        witness = is_pgraph(graph, mu)
-        if witness is None:
-            raise AssertionError("search returned an invalid certificate")
-        solution = solve_block(system, blocks, ACompatibleWitness(graph, lap))
-        if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
-            raise AssertionError("certified component has mixed signs")
-        return solution, witness
-    return None
+    lap = _realization(system, blocks)
+    found = find_pgraph(lap)
+    if found is None:
+        refusal = "no certificate graph"
+    elif validate_acompatible(found[0], blocks, system):
+        refusal = "the certificate graph is not compatible"
+    else:
+        star_ok, star_witness = check_condition_star(found[0], blocks)
+        refusal = None if star_ok else f"reachability condition fails at {star_witness}"
+    if refusal is not None:
+        log.info("column-sum realization refused: %s", refusal)
+        return None
+    graph, mu = found
+    witness = is_pgraph(graph, mu)
+    if witness is None:
+        raise AssertionError("search returned an invalid certificate")
+    solution = solve_block(system, blocks, ACompatibleWitness(graph, lap))
+    if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
+        raise AssertionError("certified component has mixed signs")
+    return solution, witness

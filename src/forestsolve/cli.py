@@ -206,7 +206,7 @@ def _cmd_block_certify(args) -> int:
         print("\n".join(problems), file=sys.stderr)
         return EXIT_INPUT
     try:
-        outcome = blocksys.certify_block_nonneg(system, blocks, budget=args.budget)
+        outcome = blocksys.certify_block_nonneg(system, blocks)
     except blocksys.BlockHypothesisError as exc:
         payload = {
             "certified": False,
@@ -264,7 +264,7 @@ def _cmd_crn_param(args) -> int:
         conservation=tuple(conservation),
         drop=tuple(int(tok) for tok in (args.drop or [])),
     )
-    report = crn.parameterize(net, task, budget=args.budget)
+    report = crn.parameterize(net, task)
     if args.format == "dot" and report.witness is not None:
         _write_output(multigraph.to_dot(report.witness.graph), args.output)
         return EXIT_OK if report.certified else EXIT_NO_WITNESS
@@ -287,7 +287,7 @@ def _cmd_crn_param(args) -> int:
 
 def _cmd_graph_dot(args) -> int:
     data = _load_json(args)
-    if isinstance(data, dict) and "edges" in data and "nodes" in data:
+    if isinstance(data, dict) and ("nodes" in data or "edges" in data):
         graph = multigraph.graph_from_json(data)
     else:
         system = linsys.system_from_json(data)
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("block-certify", help="certify a block-structured system")
     _add_io(p, "json", "dot")
-    p.add_argument("--budget", type=int, default=64, help="search budget")
     p.set_defaults(func=_cmd_block_certify)
 
     p = sub.add_parser("mtt-check", help="randomized minor/forest-sum self-check")
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crn-param", help="steady-state parameterization")
     _add_io(p, "json", "dot")
-    p.add_argument("--budget", type=int, default=64, help="search budget")
     p.add_argument("--solve-for", dest="solve_for", default=None)
     p.add_argument("--parameters", default=None)
     p.add_argument(

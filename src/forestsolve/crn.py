@@ -459,13 +459,14 @@ def parameterize(
     net: Network,
     task: SteadyStateTask,
     blocks: BlockStructure | None = None,
-    budget: int = 64,
 ) -> ParameterizationReport:
     """Certified steady-state parameterization of the unknown concentrations.
 
     Builds the linear system, validates the dropped rows, and runs the block
-    certification; the report carries either the certified expressions (one
-    per unknown, in the rates, parameters, and totals) or diagnostics.
+    certification on ``blocks`` (the proposed blocks when None), which tries
+    the one column-sum realization; the report carries either the certified
+    expressions (one per unknown, in the rates, parameters, and totals) or
+    diagnostics.
     """
     diagnostics: list[str] = []
     system, proposal = build_steady_system(net, task)
@@ -473,7 +474,7 @@ def parameterize(
         blocks = proposal
     diagnostics.extend(validate_dropped_rows(net, task, system))
     try:
-        outcome = certify_block_nonneg(system, blocks, budget=budget)
+        outcome = certify_block_nonneg(system, blocks)
     except BlockHypothesisError as exc:
         return ParameterizationReport(
             False, system, blocks, None, None, frozenset(),

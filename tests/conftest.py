@@ -126,13 +126,8 @@ def over_common_denominator(components) -> Solution:
     )
 
 
-def nsite_network_and_task(n: int):
-    """Sequential n-site phosphorylation with kinase E and phosphatase F.
-
-    The unknowns are E, ES0..ES(n-1), F, FS1..FSn; the substrates S0..Sn are
-    parameters, the two enzyme totals replace rows E and F, and the
-    substrate rows are dropped.
-    """
+def nsite_text(n: int) -> str:
+    """Sequential n-site phosphorylation with kinase E and phosphatase F."""
     unknowns = ["E"] + [f"ES{i}" for i in range(n)] + ["F"] + [f"FS{i}" for i in range(1, n + 1)]
     substrates = [f"S{i}" for i in range(n + 1)]
     lines = ["species: " + ", ".join(unknowns + substrates)]
@@ -142,7 +137,19 @@ def nsite_network_and_task(n: int):
     for i in range(1, n + 1):
         lines.append(f"S{i} + F <-> FS{i} ; d{i}, e{i}")
         lines.append(f"FS{i} -> S{i - 1} + F ; f{i}")
-    net = parse_network("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def nsite_network_and_task(n: int):
+    """The network of :func:`nsite_text` and its parameterization task.
+
+    The unknowns are E, ES0..ES(n-1), F, FS1..FSn; the substrates S0..Sn are
+    parameters, the two enzyme totals replace rows E and F, and the
+    substrate rows are dropped.
+    """
+    unknowns = ["E"] + [f"ES{i}" for i in range(n)] + ["F"] + [f"FS{i}" for i in range(1, n + 1)]
+    substrates = [f"S{i}" for i in range(n + 1)]
+    net = parse_network(nsite_text(n))
     laws = conservation_laws(net)
     e_law = [int(s == "E" or s.startswith("ES")) for s in net.species]
     f_law = [int(s == "F" or s.startswith("FS")) for s in net.species]

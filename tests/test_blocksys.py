@@ -9,8 +9,10 @@ from forestsolve import (
     BlockStructure,
     LinearSystem,
     Multidigraph,
+    blocksys,
     bordered_laplacian,
     build_acompatible,
+    build_steady_system,
     canonical_graph,
     certify_block_nonneg,
     check_condition_star,
@@ -32,13 +34,14 @@ from forestsolve import (
     validate_block_form,
     zero_components,
 )
-from forestsolve.blocksys import _candidate_matrices
+from forestsolve.blocksys import _realization
 from forestsolve.forests import enumerate_rooted_forests, upsilon
 from forestsolve.symring import Sign, det_matrix
 
 from conftest import (
     ZERO,
     C,
+    nsite_network_and_task,
     random_block_system,
     random_certificate_cases,
     root_sets,
@@ -392,18 +395,47 @@ class TestCertification:
     def test_certificate_graph_realizes_candidate_matrix(
         self, block_three_system, five_var_system, zero_component_case
     ):
-        # certify_block_nonneg hands the candidate matrix to the solver as
-        # the certificate graph's Laplacian instead of recomputing it
+        # certify_block_nonneg hands the column-sum realization to the solver
+        # as the certificate graph's Laplacian instead of recomputing it
         found = []
         for system, blocks in (block_three_system, five_var_system, zero_component_case):
-            for lap in _candidate_matrices(system, blocks, 64):
-                result = find_pgraph(lap)
-                if result is not None:
-                    found.append((lap, result))
-        found.extend(random_certificate_cases(random.Random(46), 6))
+            lap = _realization(system, blocks)
+            assert lap == build_acompatible(system, blocks).laplacian
+            result = find_pgraph(lap)
+            assert result is not None
+            found.append((lap, result))
+        found.extend(random_certificate_cases(random.Random(46), 13))
         assert len(found) >= 16
         for lap, (graph, _) in found:
             assert laplacian_of(graph) == lap
+
+    def test_refusal_tries_one_realization(self, monkeypatch):
+        # the proposed blocks of the n = 2 n-site system refuse; the
+        # certificate search sees the column-sum realization and nothing else
+        system, blocks = build_steady_system(*nsite_network_and_task(2))
+        seen = []
+
+        def search(lap):
+            seen.append(lap)
+            return find_pgraph(lap)
+
+        monkeypatch.setattr(blocksys, "find_pgraph", search)
+        assert certify_block_nonneg(system, blocks) is None
+        assert seen == [_realization(system, blocks)]
+
+    def test_reachability_condition_refuses(self):
+        # the realization has a certificate graph, but row 1 reaches the
+        # negative edge 1 -> 2, whose target is x2; x2 has mixed signs
+        system = LinearSystem.build(
+            ["x1", "x2"],
+            [[parse_poly("z1 + z3"), ZERO], [parse_poly("-2*z2 - z3"), parse_poly("-z4")]],
+            [parse_poly("-z3"), parse_poly("3*z1")],
+        )
+        blocks = BlockStructure((1,), 1, (1,))
+        graph, _ = find_pgraph(_realization(system, blocks))
+        assert check_condition_star(graph, blocks) == (False, (1, 2, 1))
+        assert poly_sign(cramer_oracle(system).numerators[1]) == Sign.MIXED
+        assert certify_block_nonneg(system, blocks) is None
 
     def test_zero_component_instance(self, zero_component_case):
         system, blocks = zero_component_case

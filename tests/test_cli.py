@@ -245,30 +245,47 @@ class TestErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "command, data",
+        "command, data, message",
         [
-            ("solve", [1, 2]),
-            ("solve", {"variables": ["x1"], "A": [["1"]], "b": [3]}),
-            ("solve", {"variables": "x", "A": ["z"], "b": ["1"]}),
+            ("solve", [1, 2], "a system must be a JSON object"),
+            ("solve", {"variables": ["x1"], "A": [["1"]], "b": [3]}, "'b' must be"),
+            ("solve", {"variables": "x", "A": ["z"], "b": ["1"]}, "'variables' must be"),
             (
                 "solve",
                 {"variables": ["x1"], "A": [["(" * 3000 + "z1" + ")" * 3000]], "b": ["1"]},
+                "expression nested too deeply",
             ),
-            ("solve", "[" * 100000 + "]" * 100000),
-            ("block-solve", {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": [1]}),
+            ("solve", "[" * 100000 + "]" * 100000, "JSON nested too deeply"),
+            (
+                "block-solve",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": [1]},
+                "'blocks' must be",
+            ),
             (
                 "block-solve",
                 {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": {"sizes": 1, "m0": 0}},
+                "'sizes' must be",
             ),
-            ("graph-dot", {"nodes": 2, "edges": [1]}),
-            ("graph-dot", {"nodes": 2, "edges": [{"src": "1", "tgt": 2, "label": "z1"}]}),
-            ("graph-dot", 5),
-            ("solve", {"variables": ["x1"], "b": ["1"]}),
+            ("graph-dot", {"nodes": 2, "edges": [1]}, "'edges' must be"),
+            (
+                "graph-dot",
+                {"nodes": 2, "edges": [{"src": "1", "tgt": 2, "label": "z1"}]},
+                "an edge needs integer 'src'",
+            ),
+            ("graph-dot", 5, "a system must be a JSON object"),
+            ("solve", {"variables": ["x1"], "b": ["1"]}, "'A' must be"),
             (
                 "block-solve",
                 {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": {"sizes": [1]}},
+                "integer 'm0'",
             ),
-            ("graph-dot", {"nodes": 2, "edges": [{"tgt": 2, "label": "z1"}]}),
+            (
+                "graph-dot",
+                {"nodes": 2, "edges": [{"tgt": 2, "label": "z1"}]},
+                "an edge needs integer 'src'",
+            ),
+            ("graph-dot", {"nodes": 3}, "'edges' must be"),
+            ("graph-dot", {"edges": []}, "integer 'nodes'"),
         ],
         ids=[
             "top-level-list",
@@ -284,16 +301,20 @@ class TestErrors:
             "missing-A",
             "missing-m0",
             "edge-missing-src",
+            "graph-missing-edges",
+            "graph-missing-nodes",
         ],
     )
-    def test_wrong_shape_exits_2(self, capsys, tmp_path, command, data):
-        # data is the JSON value, or for "deep-json" the text itself
+    def test_wrong_shape_exits_2(self, capsys, tmp_path, command, data, message):
+        # data is the JSON value, or for "deep-json" the text itself; the
+        # message names what is wrong with it
         path = tmp_path / "shape.json"
         path.write_text(data if isinstance(data, str) else json.dumps(data))
         code, out, err = run(capsys, [command, "--input", str(path)])
         assert code == 2
         assert out == ""
         assert err.startswith("input error")
+        assert message in err
 
     @pytest.mark.parametrize(
         "fault", [KeyError("internal"), RuntimeError("boom"), MissingVariableError("z9")]
@@ -325,6 +346,8 @@ class TestOptions:
             ["certify", "--oracle"],
             ["certify", "--format", "text"],
             ["graph-dot", "--budget", "3"],
+            ["block-certify", "--budget", "3"],
+            ["crn-param", "--budget", "3"],
             ["mtt-check", "--input", "x"],
             ["solve", "--seed", "1"],
         ],

@@ -3,7 +3,10 @@
 ``tests/golden/<stem>.<command>.json`` holds the exact standard output of
 ``forestsolve <command>`` on the ``block_three_system`` and
 ``five_var_system`` fixtures, recorded while the block forest sums were
-still enumerated forest by forest.
+still enumerated forest by forest.  ``nsite2.<command>.json`` pins two
+refusals on the n-site network at n = 2: ``block-certify`` on its steady-state
+system without a ``"blocks"`` key, and ``crn-param`` on the network, both of
+which use the proposed blocks ``sizes=(3,), m0=3``.
 """
 
 import json
@@ -11,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from forestsolve import cli, system_to_json
+from forestsolve import build_steady_system, cli, system_to_json
+
+from conftest import nsite_network_and_task, nsite_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -29,3 +34,31 @@ def test_block_output_matches_golden(request, tmp_path, capsys, fixture_name, st
     path.write_text(json.dumps(data))
     assert cli.main([command, "--input", str(path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.{command}.json").read_text()
+
+
+def nsite_refusal_argv(tmp_path, command: str) -> list[str]:
+    """Argument list of ``command`` on the n = 2 n-site network, no blocks given."""
+    net, task = nsite_network_and_task(2)
+    if command == "block-certify":
+        path = tmp_path / "nsite2.json"
+        path.write_text(json.dumps(system_to_json(build_steady_system(net, task)[0])))
+        return [command, "--input", str(path)]
+    path = tmp_path / "nsite2.txt"
+    path.write_text(nsite_text(2))
+    argv = [
+        command,
+        "--input", str(path),
+        "--solve-for", ",".join(task.solve_for),
+        "--parameters", ",".join(task.parameters),
+    ]
+    for use in task.conservation:
+        argv += ["--conserve", f"{use.law_index}:{use.total}:{use.replaces_row}"]
+    for row in task.drop:
+        argv += ["--drop", str(row)]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["block-certify", "crn-param"])
+def test_refusal_matches_golden(tmp_path, capsys, command):
+    assert cli.main(nsite_refusal_argv(tmp_path, command)) == 1
+    assert capsys.readouterr().out == (GOLDEN / f"nsite2.{command}.json").read_text()
