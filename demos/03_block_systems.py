@@ -12,12 +12,12 @@ from forestsolve import (
     BlockStructure,
     LinearSystem,
     Polynomial,
-    build_acompatible,
     certify_block_nonneg,
     check_condition_star,
     choose_j,
     cramer_oracle,
     parse_poly,
+    realization,
     solve_block,
     validate_block_form,
     zero_components,
@@ -42,16 +42,15 @@ system = LinearSystem.build(
 blocks = BlockStructure((2,), 1, choose_j(system, (2,), 1))
 print("block form violations:", validate_block_form(system, blocks))
 
-# 2. The heuristic realization keeps all non-distinguished rows and refills
+# 2. The column-sum realization keeps all non-distinguished rows and refills
 #    the distinguished row column by column (minus the rest of the column).
-witness = build_acompatible(system, blocks)
 print("\nrealized bordered matrix:")
-for row in witness.laplacian.rows:
+for row in realization(system, blocks).rows:
     print("   ", [str(p) for p in row])
 
 # 3. The forest-product formula solves the system; the answer matches the
 #    determinant oracle.
-solution = solve_block(system, blocks, witness)
+solution = solve_block(system, blocks)
 for name, comp in zip(system.variables, solution):
     print(f"    {name} = {comp}")
 oracle = cramer_oracle(system)

@@ -31,10 +31,8 @@ from .multigraph import (
     graph_from_json,
     graph_to_json,
     laplacian_of,
-    merge_parallel_negative,
     reaches_avoiding,
     simple_cycles,
-    split_edge,
     to_dot,
 )
 from .forests import (
@@ -76,13 +74,12 @@ from .pgraph import (
     validate_partition,
 )
 from .blocksys import (
-    ACompatibleWitness,
     BlockHypothesisError,
     BlockStructure,
-    build_acompatible,
     certify_block_nonneg,
     check_condition_star,
     choose_j,
+    realization,
     solve_block,
     validate_acompatible,
     validate_block_form,

@@ -4,8 +4,10 @@ The systems handled here have a coefficient matrix made of d square diagonal
 blocks followed by arbitrary trailing rows, with at most one nonzero constant
 per block.  One distinguished row per block is released and refilled by
 column sums, so that the bordered matrix becomes realizable by a graph with
-no cross-block edges; solving and certification both use this one
-realization.  The solution is then a ratio of double sums of forest products
+no cross-block edges.  Solving and certification both take this one matrix
+from :func:`realization`, the only place that builds it; every graph that
+realizes it has the same rooted forest sums, so no other realization is
+needed.  The solution is then a ratio of double sums of forest products
 over root sets drawing one node per block.  No edge leaves a block for
 another block, so this block confinement fixes the root that each
 distinguished row drains into, and each forest sum is one signed minor of
@@ -158,15 +160,7 @@ def validate_block_form(system: LinearSystem, blocks: BlockStructure) -> list[st
 
 
 # ---------------------------------------------------------------------------
-# realizable bordered matrices with no cross-block edges
-
-
-@dataclass(frozen=True)
-class ACompatibleWitness:
-    """A graph realization whose matrix keeps every non-distinguished row."""
-
-    graph: Multidigraph
-    laplacian: Laplacian
+# the realization with no cross-block edges
 
 
 def validate_acompatible(
@@ -202,7 +196,7 @@ def validate_acompatible(
     return problems
 
 
-def _realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
+def realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
     """The column-sum realization of the bordered matrix.
 
     Every other row copies (A | b).  In each block column the distinguished
@@ -210,8 +204,16 @@ def _realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
     off the diagonal the nonnegative ones, on the diagonal the nonpositive
     ones, which minimizes negative entries off the diagonal.  The last row
     then makes every column sum to zero, so it takes what the distinguished
-    row left.
+    row left.  A distinguished row is filled only inside its own block, so
+    no edge enters a block from outside; that confinement is asserted here,
+    once for every caller, and a failure is an internal fault.
+    :func:`find_pgraph` puts edges only on nonzero entries, so the
+    certificate graph it builds on this matrix has the same arcs and rows,
+    and the one check covers it too.
     """
+    problems = validate_block_form(system, blocks)
+    if problems:
+        raise ValueError("; ".join(problems))
     m = blocks.m
     zero = Polynomial.zero()
     rows = [
@@ -227,30 +229,18 @@ def _realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
                     (mono for mono in monomial_split(rest) if keep(mono)), zero
                 )
     rows.append([-sum((row[c] for row in rows), zero) for c in range(m + 1)])
-    return Laplacian(rows)
-
-
-def build_acompatible(
-    system: LinearSystem, blocks: BlockStructure
-) -> ACompatibleWitness | None:
-    """The canonical graph of the column-sum realization, if it keeps every
-    non-distinguished row and confines its edges to their blocks."""
-    if validate_block_form(system, blocks):
-        raise ValueError("system is not in block form")
-    lap = _realization(system, blocks)
-    graph = canonical_graph(lap)
-    if validate_acompatible(graph, blocks, system):
-        return None
-    return ACompatibleWitness(graph, lap)
+    lap = Laplacian(rows)
+    problems = validate_acompatible(canonical_graph(lap), blocks, system)
+    if problems:
+        raise AssertionError("realization is not block-confined: " + "; ".join(problems))
+    return lap
 
 
 # ---------------------------------------------------------------------------
 # the forest-product solution
 
 
-def solve_block(
-    system: LinearSystem, blocks: BlockStructure, witness: ACompatibleWitness
-) -> Solution:
+def solve_block(system: LinearSystem, blocks: BlockStructure) -> Solution:
     """Solve via the double sum of forest products over per-block root sets.
 
     Numerator of x_l: over every block k (and the bordering pseudo-block),
@@ -262,11 +252,11 @@ def solve_block(
     skipped, when l lies in a block other than k, or when k is the bordering
     slot and l is not in the tail.  Every forest sum deletes the rows
     F = {j_1..j_d, m+1}, so all of them come from one :class:`ForestSums`
-    table, and each component is one :func:`sum_products` over
-    (-b_k * weight, minor) pairs.
+    table over the :func:`realization`, and each component is one
+    :func:`sum_products` over (-b_k * weight, minor) pairs.
     """
     d, last, j = blocks.d, blocks.m + 1, blocks.j
-    sums = ForestSums(witness.laplacian, blocks.distinguished())
+    sums = ForestSums(realization(system, blocks), blocks.distinguished())
 
     def family(scale: Polynomial, skip: int | None = None, ell: int | None = None):
         # Root sets: beta_i in each block i != skip, m+1 unless skip = d+1, and
@@ -359,16 +349,14 @@ def certify_block_nonneg(
     """Certify nonnegativity of the block solution, or refuse.
 
     Requires nonnegative distinguished rows and nonpositive distinguished
-    constants.  Looks for a certificate graph of the column-sum realization
-    (the matrix that :func:`build_acompatible` realizes) that also passes the
-    negative-edge reachability condition; on success the solution is
-    computed and its numerators and denominator verified nonnegative.
+    constants.  Looks for a certificate graph of the :func:`realization`
+    that also passes the negative-edge reachability condition; on success
+    the solution is computed and its numerators and denominator verified
+    nonnegative.
     """
-    problems = validate_block_form(system, blocks)
-    if problems:
-        raise ValueError("; ".join(problems))
+    lap = realization(system, blocks)
     hypothesis: list[str] = []
-    for i, ji in enumerate(blocks.j):
+    for ji in blocks.j:
         for c in range(1, system.m + 1):
             if not is_nonneg(system.a[ji - 1][c - 1]):
                 hypothesis.append(f"row {ji} of the matrix is not nonnegative")
@@ -378,12 +366,9 @@ def certify_block_nonneg(
     if hypothesis:
         raise BlockHypothesisError(hypothesis)
 
-    lap = _realization(system, blocks)
     found = find_pgraph(lap)
     if found is None:
         refusal = "no certificate graph"
-    elif validate_acompatible(found[0], blocks, system):
-        refusal = "the certificate graph is not compatible"
     else:
         star_ok, star_witness = check_condition_star(found[0], blocks)
         refusal = None if star_ok else f"reachability condition fails at {star_witness}"
@@ -394,7 +379,7 @@ def certify_block_nonneg(
     witness = is_pgraph(graph, mu)
     if witness is None:
         raise AssertionError("search returned an invalid certificate")
-    solution = solve_block(system, blocks, ACompatibleWitness(graph, lap))
+    solution = solve_block(system, blocks)
     if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
         raise AssertionError("certified component has mixed signs")
     return solution, witness

@@ -150,9 +150,6 @@ def _report_certified(
 
 def _cmd_solve(args) -> int:
     system = linsys.system_from_json(_load_json(args))
-    if args.permute_rows:
-        order = [int(tok) for tok in args.permute_rows.split(",")]
-        system = linsys.permute_rows(system, order)
     solution = linsys.solve_by_trees(system)
     return _report_solution(
         args,
@@ -191,12 +188,13 @@ def _cmd_block_solve(args) -> int:
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return EXIT_INPUT
-    witness = blocksys.build_acompatible(system, blocks)
-    if witness is None:
-        print("no compatible graph from the heuristic", file=sys.stderr)
-        return EXIT_NO_WITNESS
-    solution = blocksys.solve_block(system, blocks, witness)
-    return _report_solution(args, system, solution, lambda: witness.graph)
+    solution = blocksys.solve_block(system, blocks)
+    return _report_solution(
+        args,
+        system,
+        solution,
+        lambda: multigraph.canonical_graph(blocksys.realization(system, blocks)),
+    )
 
 
 def _cmd_block_certify(args) -> int:
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a system by rooted tree sums")
     _add_io(p, "json", "text", "dot")
     p.add_argument("--oracle", action="store_true", help="cross-check the result")
-    p.add_argument("--permute-rows", default=None, help="row order, e.g. 2,1,3")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("certify", help="certify a nonnegative solution")

@@ -37,8 +37,9 @@ class SingularSystemError(ValueError):
 class LinearSystem:
     """Square system A*x + b = 0 with polynomial entries.
 
-    Rows follow the equation order as given; no reordering is ever applied
-    silently (see :func:`permute_rows`).
+    Rows follow the equation order as given and are never reordered.  A row
+    permutation would only scale N and D by its sign, which the reduced
+    components do not show.
     """
 
     variables: tuple[str, ...]
@@ -160,17 +161,6 @@ def residual_check(system: LinearSystem, solution: Solution) -> bool:
     return all(
         sum_products([(b_i, den), *zip(a_row, nums)]).is_zero()
         for a_row, b_i in zip(system.a, system.b)
-    )
-
-
-def permute_rows(system: LinearSystem, order: Sequence[int]) -> LinearSystem:
-    """Reordered copy of the system; ``order`` lists old row indices (1-based)."""
-    if sorted(order) != list(range(1, system.m + 1)):
-        raise ValueError("order must be a permutation of 1..m")
-    return LinearSystem.build(
-        system.variables,
-        [system.a[i - 1] for i in order],
-        [system.b[i - 1] for i in order],
     )
 
 

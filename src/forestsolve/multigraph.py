@@ -1,10 +1,10 @@
 """Labeled multidigraphs on nodes 1..m+1 and their Laplacians.
 
 Edges carry nonzero polynomial labels and opaque integer ids; parallel edges
-are permitted, self-loops are not.  Graphs are immutable: the rewrite
-operations (splitting an edge into parallel edges, merging negative parallel
-edges) return new graphs together with the id correspondence, so maps keyed
-by edge id can be transported across rewrites.
+are permitted, self-loops are not.  Graphs are immutable.  Many graphs
+realize one Laplacian (an entry may be split over parallel edges), and all of
+them have the same rooted forest sums; :func:`canonical_graph` builds the one
+with a single edge per nonzero entry.
 
 The Laplacian convention: entry (i, j), i != j, is the label sum of the edges
 j -> i, and diagonal entries make every column sum to zero.
@@ -85,9 +85,6 @@ class Multidigraph:
         """Distinct (source, target) pairs carrying at least one edge, sorted."""
         return sorted({(e.source, e.target) for e in self.edges})
 
-    def next_id(self) -> int:
-        return max(self._by_id, default=0) + 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multidigraph):
             return NotImplemented
@@ -161,62 +158,6 @@ def canonical_graph(lap: Laplacian | Sequence[Sequence[Polynomial]]) -> Multidig
             if i != j and not lap.entry(i, j).is_zero():
                 triples.append((j, i, lap.entry(i, j)))
     return Multidigraph.from_edges(n, triples)
-
-
-def split_edge(
-    graph: Multidigraph, eid: int, parts: Sequence[Polynomial]
-) -> tuple[Multidigraph, tuple[int, ...]]:
-    """Replace one edge by parallel edges labeled by ``parts``.
-
-    The parts must be nonzero and sum to the old label, so the Laplacian is
-    unchanged.  Returns the new graph and the ids of the replacement edges.
-    """
-    old = graph.edge(eid)
-    total = Polynomial.zero()
-    for p in parts:
-        if p.is_zero():
-            raise ValueError("split parts must be nonzero")
-        total = total + p
-    if total != old.label:
-        raise ValueError("split parts do not sum to the edge label")
-    fresh = graph.next_id()
-    new_ids = tuple(range(fresh, fresh + len(parts)))
-    edges = [e for e in graph.edges if e.eid != eid]
-    edges.extend(
-        Edge(nid, old.source, old.target, p) for nid, p in zip(new_ids, parts)
-    )
-    return Multidigraph(graph.node_count, edges), new_ids
-
-
-def merge_parallel_negative(
-    graph: Multidigraph,
-) -> tuple[Multidigraph, dict[int, int]]:
-    """Merge, per (source, target) pair, all nonpositive-labeled parallel edges.
-
-    Returns the new graph and a map from each merged-away edge id to the id
-    of its replacement.  Edges not merged keep their ids; the Laplacian is
-    unchanged.
-    """
-    groups: dict[tuple[int, int], list[Edge]] = {}
-    for e in graph.edges:
-        if poly_sign(e.label) == Sign.NONPOS:
-            groups.setdefault((e.source, e.target), []).append(e)
-    to_merge = {key: es for key, es in groups.items() if len(es) > 1}
-    if not to_merge:
-        return graph, {}
-    merged_away = {e.eid for es in to_merge.values() for e in es}
-    edges = [e for e in graph.edges if e.eid not in merged_away]
-    mapping: dict[int, int] = {}
-    nid = graph.next_id()
-    for (src, tgt), es in sorted(to_merge.items()):
-        label = Polynomial.zero()
-        for e in es:
-            label = label + e.label
-        edges.append(Edge(nid, src, tgt, label))
-        for e in es:
-            mapping[e.eid] = nid
-        nid += 1
-    return Multidigraph(graph.node_count, edges), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from forestsolve import (
     Polynomial,
     all_minors_check,
     bordered_laplacian,
-    build_acompatible,
     canonical_graph,
     certify_block_nonneg,
     certify_nonneg,
@@ -139,11 +138,10 @@ def test_criterion_4_oracle_equivalence():
     block_suite = []
     for _ in range(50):
         system, blocks = random_block_system(rng, max_m=6, max_d=2)
-        witness = build_acompatible(system, blocks)
-        solution = solve_block(system, blocks, witness)
+        solution = solve_block(system, blocks)
         oracle = cramer_oracle(system)
         assert solution.agrees_up_to_sign(oracle)
-        block_suite.append((system, blocks, witness))
+        block_suite.append((system, blocks, solution))
     test_criterion_4_oracle_equivalence.block_suite = block_suite
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -218,8 +216,8 @@ def test_criterion_6_denominator_identity():
     suite = getattr(test_criterion_4_oracle_equivalence, "block_suite", None)
     if suite is None:
         pytest.skip("criterion 4 must run first")
-    for system, blocks, witness in suite:
-        den = solve_block(system, blocks, witness).denominator
+    for system, blocks, solution in suite:
+        den = solution.denominator
         det_a = det_matrix([list(r) for r in system.a])
         expected = det_a if (system.m - blocks.d) % 2 == 0 else -det_a
         assert den == expected

@@ -1,4 +1,4 @@
-"""Block form validation, compatible graphs, the forest-product solution."""
+"""Block form validation, the column-sum realization, the forest-product solution."""
 
 import random
 
@@ -11,7 +11,6 @@ from forestsolve import (
     Multidigraph,
     blocksys,
     bordered_laplacian,
-    build_acompatible,
     build_steady_system,
     canonical_graph,
     certify_block_nonneg,
@@ -27,6 +26,7 @@ from forestsolve import (
     poly_sign,
     rat_equal,
     ratio,
+    realization,
     residual_check,
     solve_block,
     solve_by_trees,
@@ -34,7 +34,6 @@ from forestsolve import (
     validate_block_form,
     zero_components,
 )
-from forestsolve.blocksys import _realization
 from forestsolve.forests import enumerate_rooted_forests, upsilon
 from forestsolve.symring import Sign, det_matrix
 
@@ -117,30 +116,33 @@ class TestChooseJ:
 
 
 class TestBuildACompatible:
+    """The column-sum realization is compatible with A: it keeps every
+    non-distinguished row and has no edge into a block from outside."""
+
     def test_golden_three_variable(self, block_three_system):
         system, blocks = block_three_system
-        witness = build_acompatible(system, blocks)
-        assert [str(p) for p in witness.laplacian.rows[1]] == [
+        lap = realization(system, blocks)
+        assert [str(p) for p in lap.rows[1]] == [
             "z2",
             "-2*z3",
             "0",
             "0",
         ]
-        assert [str(p) for p in witness.laplacian.rows[3]] == [
+        assert [str(p) for p in lap.rows[3]] == [
             "0",
             "0",
             "z4",
             "-z5",
         ]
-        assert validate_acompatible(witness.graph, blocks, system) == []
+        assert validate_acompatible(canonical_graph(lap), blocks, system) == []
 
     def test_golden_five_variable(self, five_var_system):
         system, blocks = five_var_system
-        witness = build_acompatible(system, blocks)
-        assert [str(p) for p in witness.laplacian.rows[1]] == [
+        lap = realization(system, blocks)
+        assert [str(p) for p in lap.rows[1]] == [
             "z1", "-2*z2", "0", "0", "0", "0",
         ]
-        assert [str(p) for p in witness.laplacian.rows[5]] == [
+        assert [str(p) for p in lap.rows[5]] == [
             "0", "0", "-z3 + z4", "-z5", "z6", "-z8 - z9",
         ]
 
@@ -152,20 +154,23 @@ class TestBuildACompatible:
 
     def test_changed_plain_row_reported(self, block_three_system):
         system, blocks = block_three_system
-        witness = build_acompatible(system, blocks)
-        rows = [list(r) for r in witness.laplacian.rows]
+        rows = [list(r) for r in realization(system, blocks).rows]
         rows[0][0] = rows[0][0] - zvar(9)
         rows[1][0] = rows[1][0] + zvar(9)  # compensate inside the free row
         graph = canonical_graph(rows)
         problems = validate_acompatible(graph, blocks, system)
         assert any("row 1" in p for p in problems)
 
+    def test_system_not_in_block_form_rejected(self, block_three_system):
+        system, _ = block_three_system
+        with pytest.raises(ValueError, match="outside block 1"):
+            realization(system, BlockStructure((1,), 2, (1,)))
+
 
 class TestSolveBlock:
     def test_golden_three_variable(self, block_three_system):
         system, blocks = block_three_system
-        witness = build_acompatible(system, blocks)
-        solution = solve_block(system, blocks, witness)
+        solution = solve_block(system, blocks)
         oracle = cramer_oracle(system)
         assert solution.agrees_up_to_sign(oracle)
         assert rat_equal(
@@ -175,8 +180,7 @@ class TestSolveBlock:
 
     def test_golden_five_variable_components(self, five_var_system):
         system, blocks = five_var_system
-        witness = build_acompatible(system, blocks)
-        solution = solve_block(system, blocks, witness)
+        solution = solve_block(system, blocks)
         displayed = [
             ("z7*z2", "z2 + z1"),
             ("z1*z7", "z2 + z1"),
@@ -189,8 +193,7 @@ class TestSolveBlock:
 
     def test_degenerate_block_structure_matches_tree_solver(self, three_var_system):
         blocks = BlockStructure((), 3, ())
-        witness = build_acompatible(three_var_system, blocks)
-        block_solution = solve_block(three_var_system, blocks, witness)
+        block_solution = solve_block(three_var_system, blocks)
         plain = solve_by_trees(three_var_system)
         assert block_solution.agrees_up_to_sign(plain)
 
@@ -198,8 +201,7 @@ class TestSolveBlock:
         rng = random.Random(51)
         for _ in range(20):
             system, blocks = random_block_system(rng)
-            witness = build_acompatible(system, blocks)
-            solution = solve_block(system, blocks, witness)
+            solution = solve_block(system, blocks)
             oracle = cramer_oracle(system)
             assert solution.agrees_up_to_sign(oracle)
 
@@ -208,8 +210,7 @@ class TestSolveBlock:
         cases = [block_three_system, five_var_system]
         cases.extend(random_block_system(rng) for _ in range(15))
         for system, blocks in cases:
-            witness = build_acompatible(system, blocks)
-            den = solve_block(system, blocks, witness).denominator
+            den = solve_block(system, blocks).denominator
             det_a = det_matrix([list(r) for r in system.a])
             sign = 1 if (system.m - blocks.d) % 2 == 0 else -1
             assert den == (det_a if sign == 1 else -det_a)
@@ -264,9 +265,9 @@ class TestFamilyMinors:
         tail_hits = 0
         for system, blocks in self._cases([block_three_system, five_var_system]):
             assert blocks.m0 > 0
-            witness = build_acompatible(system, blocks)
+            lap = realization(system, blocks)
             f_set = blocks.distinguished()
-            sums = ForestSums(witness.laplacian, f_set)  # one table per system
+            sums = ForestSums(lap, f_set)  # one table per system
             for roots, images in block_families(blocks):
                 if images is None:
                     continue
@@ -275,18 +276,18 @@ class TestFamilyMinors:
                     blocks.block_of(n) == 0 and n <= blocks.m for n in roots
                 )
                 sign, minor = sums.signed_minor(images)
-                assert sign * minor == upsilon(witness.graph, f_set, roots)
+                assert sign * minor == upsilon(canonical_graph(lap), f_set, roots)
         assert tail_hits
 
     def test_skipped_families_are_empty(self, block_three_system, five_var_system):
         skipped = 0
         for system, blocks in self._cases([block_three_system, five_var_system]):
-            witness = build_acompatible(system, blocks)
+            graph = canonical_graph(realization(system, blocks))
             f_set = blocks.distinguished()
             for roots, images in block_families(blocks):
                 if images is None:
                     skipped += 1
-                    assert enumerate_forests(witness.graph, f_set, roots) == []
+                    assert enumerate_forests(graph, f_set, roots) == []
         assert skipped
 
 
@@ -295,29 +296,29 @@ class TestStructuralFacts:
         rng = random.Random(53)
         for _ in range(10):
             system, blocks = random_block_system(rng)
-            witness = build_acompatible(system, blocks)
+            graph = canonical_graph(realization(system, blocks))
             for chosen in root_sets(blocks):
-                for forest in enumerate_rooted_forests(witness.graph, chosen):
-                    for node in witness.graph.nodes:
+                for forest in enumerate_rooted_forests(graph, chosen):
+                    for node in graph.nodes:
                         root_block = blocks.block_of(forest.root_of(node))
                         assert root_block in (blocks.block_of(node), 0)
 
     def test_no_forests_with_two_roots_in_one_block(self, five_var_system):
         system, blocks = five_var_system
-        witness = build_acompatible(system, blocks)
+        graph = canonical_graph(realization(system, blocks))
         f_set = blocks.distinguished()
-        assert enumerate_forests(witness.graph, f_set, (1, 2)) == []
+        assert enumerate_forests(graph, f_set, (1, 2)) == []
 
     def test_root_assignment_constant_per_family(self, block_three_system):
         system, blocks = block_three_system
-        witness = build_acompatible(system, blocks)
+        graph = canonical_graph(realization(system, blocks))
         f_set = blocks.distinguished()
         for chosen in root_sets(blocks):
             for ell in list(range(1, system.m + 1)) + [system.m + 1]:
                 if ell in chosen:
                     continue
                 family = enumerate_forests(
-                    witness.graph, f_set, tuple(sorted(chosen[:-1] + (ell,)))
+                    graph, f_set, tuple(sorted(chosen[:-1] + (ell,)))
                 )
                 images = {tuple(f.root_of(n) for n in f_set) for f in family}
                 assert len(images) <= 1
@@ -326,8 +327,8 @@ class TestStructuralFacts:
 class TestConditionStar:
     def test_no_negative_edges(self, block_three_system):
         system, blocks = block_three_system
-        witness = build_acompatible(system, blocks)
-        ok, proof = check_condition_star(witness.graph, blocks)
+        graph = canonical_graph(realization(system, blocks))
+        ok, proof = check_condition_star(graph, blocks)
         assert ok and proof is None
 
     def test_negative_edges_into_border_node_are_safe(self, five_var_system):
@@ -395,12 +396,11 @@ class TestCertification:
     def test_certificate_graph_realizes_candidate_matrix(
         self, block_three_system, five_var_system, zero_component_case
     ):
-        # certify_block_nonneg hands the column-sum realization to the solver
-        # as the certificate graph's Laplacian instead of recomputing it
+        # the certificate graph realizes the matrix that solve_block reads, so
+        # the solution certified is the solution of the certificate graph
         found = []
         for system, blocks in (block_three_system, five_var_system, zero_component_case):
-            lap = _realization(system, blocks)
-            assert lap == build_acompatible(system, blocks).laplacian
+            lap = realization(system, blocks)
             result = find_pgraph(lap)
             assert result is not None
             found.append((lap, result))
@@ -421,7 +421,7 @@ class TestCertification:
 
         monkeypatch.setattr(blocksys, "find_pgraph", search)
         assert certify_block_nonneg(system, blocks) is None
-        assert seen == [_realization(system, blocks)]
+        assert seen == [realization(system, blocks)]
 
     def test_reachability_condition_refuses(self):
         # the realization has a certificate graph, but row 1 reaches the
@@ -432,7 +432,7 @@ class TestCertification:
             [parse_poly("-z3"), parse_poly("3*z1")],
         )
         blocks = BlockStructure((1,), 1, (1,))
-        graph, _ = find_pgraph(_realization(system, blocks))
+        graph, _ = find_pgraph(realization(system, blocks))
         assert check_condition_star(graph, blocks) == (False, (1, 2, 1))
         assert poly_sign(cramer_oracle(system).numerators[1]) == Sign.MIXED
         assert certify_block_nonneg(system, blocks) is None

@@ -77,14 +77,6 @@ class TestSolve:
         _, second, _ = run(capsys, ["solve", "--input", system_file])
         assert first == second
 
-    def test_permute_rows_changes_system(self, capsys, system_file):
-        code, out, _ = run(
-            capsys,
-            ["solve", "--input", system_file, "--permute-rows", "2,1,3", "--oracle"],
-        )
-        assert code == 0
-        assert json.loads(out)["oracle_agrees"] is True
-
 
 class TestCertify:
     def test_certified_payload(self, capsys, system_file):
@@ -152,6 +144,16 @@ class TestBlockCommands:
         payload = json.loads(out)
         assert payload["certified"] is True
         assert payload["zero_components"] == []
+
+    @pytest.mark.parametrize("command", ["block-solve", "block-certify"])
+    def test_realization_fault_exits_3(self, capsys, monkeypatch, block_file, command):
+        # block confinement of the realization is an invariant, not a refusal
+        monkeypatch.setattr(blocksys, "validate_acompatible", lambda *args: ["slip"])
+        code, out, err = run(capsys, [command, "--input", block_file])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal invariant failure")
+        assert "slip" in err
 
     def test_blocks_default_to_proposal(self, capsys, tmp_path, block_three_system):
         system, _ = block_three_system
@@ -350,6 +352,7 @@ class TestOptions:
             ["crn-param", "--budget", "3"],
             ["mtt-check", "--input", "x"],
             ["solve", "--seed", "1"],
+            ["solve", "--permute-rows", "2,1,3"],
         ],
     )
     def test_flag_the_command_ignores_is_rejected(self, capsys, argv):

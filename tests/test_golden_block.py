@@ -1,9 +1,10 @@
-"""Golden block corpus: ``block-solve`` and ``block-certify`` JSON stays byte-identical.
+"""Golden block corpus: ``block-solve`` and ``block-certify`` output stays byte-identical.
 
-``tests/golden/<stem>.<command>.json`` holds the exact standard output of
-``forestsolve <command>`` on the ``block_three_system`` and
-``five_var_system`` fixtures, recorded while the block forest sums were
-still enumerated forest by forest.  ``nsite2.<command>.json`` pins two
+``tests/golden/<stem>.<command>.<format>`` holds the exact standard output of
+``forestsolve <command> --format <format>`` on the ``block_three_system`` and
+``five_var_system`` fixtures: the JSON payloads, the printed components, and
+the drawn graphs (the column-sum realization for ``block-solve``, the
+certificate graph for ``block-certify``).  ``nsite2.<command>.json`` pins two
 refusals on the n-site network at n = 2: ``block-certify`` on its steady-state
 system without a ``"blocks"`` key, and ``crn-param`` on the network, both of
 which use the proposed blocks ``sizes=(3,), m0=3``.
@@ -25,15 +26,27 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     "fixture_name, stem",
     [("block_three_system", "block_three"), ("five_var_system", "five_var")],
 )
-@pytest.mark.parametrize("command", ["block-solve", "block-certify"])
-def test_block_output_matches_golden(request, tmp_path, capsys, fixture_name, stem, command):
+@pytest.mark.parametrize(
+    "command, fmt",
+    [  # a JSON case is named by its command alone, as before formats were added
+        pytest.param("block-solve", "json", id="block-solve"),
+        pytest.param("block-solve", "text", id="block-solve-text"),
+        pytest.param("block-solve", "dot", id="block-solve-dot"),
+        pytest.param("block-certify", "json", id="block-certify"),
+        pytest.param("block-certify", "dot", id="block-certify-dot"),
+    ],
+)
+def test_block_output_matches_golden(
+    request, tmp_path, capsys, fixture_name, stem, command, fmt
+):
     system, blocks = request.getfixturevalue(fixture_name)
     data = system_to_json(system)
     data["blocks"] = {"sizes": list(blocks.sizes), "m0": blocks.m0, "j": list(blocks.j)}
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
-    assert cli.main([command, "--input", str(path)]) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{stem}.{command}.json").read_text()
+    assert cli.main([command, "--input", str(path), "--format", fmt]) == 0
+    suffix = {"json": "json", "text": "txt", "dot": "dot"}[fmt]
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.{command}.{suffix}").read_text()
 
 
 def nsite_refusal_argv(tmp_path, command: str) -> list[str]:

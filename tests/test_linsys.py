@@ -8,27 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from forestsolve import (
     LinearSystem,
+    Multidigraph,
     Polynomial,
     SingularSystemError,
     Solution,
     bordered_laplacian,
-    build_acompatible,
     canonical_graph,
     cramer_oracle,
     laplacian_of,
-    merge_parallel_negative,
     parse_poly,
     rat_equal,
     ratio,
     residual_check,
     solve_block,
     solve_by_trees,
-    split_edge,
     system_from_json,
     system_to_json,
     upsilon_rooted,
 )
-from forestsolve.linsys import permute_rows
 from forestsolve.symring import det_matrix
 
 from conftest import ZERO, C, random_block_system, random_int_system, zvar
@@ -55,6 +52,21 @@ class TestBorderedMatrix:
         for _ in range(20):
             system = random_int_system(rng)
             bordered_laplacian(system)  # constructor checks the sums
+
+
+def split_variant(graph, splits):
+    """Another realization of ``graph``'s Laplacian: each edge id in
+    ``splits`` becomes parallel edges carrying the listed labels."""
+    variant = Multidigraph.from_edges(
+        graph.node_count,
+        [
+            (e.source, e.target, label)
+            for e in graph.edges
+            for label in splits.get(e.eid, [e.label])
+        ],
+    )
+    assert laplacian_of(variant) == laplacian_of(graph)
+    return variant
 
 
 class TestSolveByTrees:
@@ -87,8 +99,7 @@ class TestSolveByTrees:
         lap = bordered_laplacian(three_var_system)
         graph = canonical_graph(lap)
         edge = next(e for e in graph.edges if e.label == P("z1 + 2*z2"))
-        variant, _ = split_edge(graph, edge.eid, [zvar(1), 2 * zvar(2)])
-        variant, _ = merge_parallel_negative(variant)
+        variant = split_variant(graph, {edge.eid: [zvar(1), 2 * zvar(2)]})
         assert variant != graph
         for root in range(1, three_var_system.m + 2):
             assert upsilon_rooted(variant, root) == upsilon_rooted(graph, root)
@@ -98,17 +109,13 @@ class TestSolveByTrees:
         for _ in range(15):
             system = random_int_system(rng, max_m=4)
             graph = canonical_graph(bordered_laplacian(system))
-            variant = graph
-            for _ in range(2):
-                if not variant.edges:
-                    break
-                edge = rng.choice(variant.edges)
+            splits = {}
+            for edge in rng.sample(graph.edges, min(2, len(graph.edges))):
                 value = edge.label.evaluate({})
-                pieces = (
+                splits[edge.eid] = (
                     [C(value - 1), C(1)] if value != 1 else [C(2), C(-1)]
                 )
-                variant, _ = split_edge(variant, edge.eid, pieces)
-            variant, _ = merge_parallel_negative(variant)
+            variant = split_variant(graph, splits)
             for root in range(1, system.m + 2):
                 assert upsilon_rooted(variant, root) == upsilon_rooted(graph, root)
 
@@ -201,8 +208,7 @@ class TestDifferential:
     @given(st.integers(0, 2**32 - 1))
     def test_block_solution(self, seed):
         system, blocks = random_block_system(random.Random(seed))
-        witness = build_acompatible(system, blocks)
-        solution = solve_block(system, blocks, witness)
+        solution = solve_block(system, blocks)
         _check_against_cramer(system, solution, (-1) ** (system.m - blocks.d))
 
 
@@ -212,10 +218,3 @@ class TestInterchange:
         again = system_from_json(json.loads(json.dumps(system_to_json(three_var_system))))
         assert again == three_var_system
         assert system_to_json(again) == data
-
-    def test_permute_rows(self, three_var_system):
-        swapped = permute_rows(three_var_system, [2, 1, 3])
-        assert swapped.a[0] == three_var_system.a[1]
-        assert swapped.b[0] == three_var_system.b[1]
-        with pytest.raises(ValueError):
-            permute_rows(three_var_system, [1, 1, 2])

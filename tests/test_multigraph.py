@@ -1,4 +1,4 @@
-"""Graphs, Laplacians, rewrites, cycles, reachability, interchange formats."""
+"""Graphs, Laplacians, cycles, reachability, interchange formats."""
 
 import random
 
@@ -14,11 +14,9 @@ from forestsolve import (
     graph_from_json,
     graph_to_json,
     laplacian_of,
-    merge_parallel_negative,
     parse_poly,
     reaches_avoiding,
     simple_cycles,
-    split_edge,
     to_dot,
 )
 from forestsolve.multigraph import node_cycles, random_multidigraph
@@ -99,63 +97,6 @@ class TestLaplacian:
             assert len(arcs) == len(set(arcs))
             assert all(s != t for s, t in arcs)
             assert laplacian_of(canon) == lap
-
-
-class TestRewrites:
-    def test_split_reproduces_two_parallel_edges(self, three_var_system):
-        graph = canonical_graph(bordered_laplacian(three_var_system))
-        target = next(e for e in graph.edges if e.label == P("z1 + 2*z2"))
-        new_graph, new_ids = split_edge(graph, target.eid, [zvar(1), 2 * zvar(2)])
-        assert len(new_ids) == 2
-        labels = sorted(str(new_graph.edge(i).label) for i in new_ids)
-        assert labels == ["2*z2", "z1"]
-        assert laplacian_of(new_graph) == laplacian_of(graph)
-
-    def test_split_single_part_keeps_label(self):
-        graph = Multidigraph.from_edges(2, [(1, 2, zvar(1))])
-        new_graph, ids = split_edge(graph, 1, [zvar(1)])
-        assert new_graph.edge(ids[0]).label == zvar(1)
-        assert laplacian_of(new_graph) == laplacian_of(graph)
-
-    def test_split_sum_mismatch(self):
-        graph = Multidigraph.from_edges(2, [(1, 2, zvar(1))])
-        with pytest.raises(ValueError):
-            split_edge(graph, 1, [zvar(1), zvar(2)])
-
-    def test_split_invariance_random(self):
-        rng = random.Random(12)
-        for _ in range(20):
-            graph = random_multidigraph(rng)
-            if not graph.edges:
-                continue
-            edge = rng.choice(graph.edges)
-            value = edge.label.evaluate({})
-            pieces = [C(value - 1), C(1)] if value != 1 else [C(2), C(-1)]
-            new_graph, _ = split_edge(graph, edge.eid, pieces)
-            assert laplacian_of(new_graph) == laplacian_of(graph)
-
-    def test_merge_negative_parallels(self):
-        graph = Multidigraph.from_edges(
-            6, [(3, 6, -zvar(3)), (3, 6, -zvar(3)), (3, 5, zvar(1))]
-        )
-        merged, mapping = merge_parallel_negative(graph)
-        assert set(mapping) == {1, 2}
-        new_edge = merged.edge(mapping[1])
-        assert new_edge.label == P("-2*z3")
-        assert laplacian_of(merged) == laplacian_of(graph)
-
-    def test_merge_no_negatives_unchanged(self):
-        graph = Multidigraph.from_edges(3, [(1, 2, zvar(1)), (1, 2, zvar(2))])
-        merged, mapping = merge_parallel_negative(graph)
-        assert mapping == {}
-        assert merged is graph
-
-    def test_merge_invariance_random(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            graph = random_multidigraph(rng)
-            merged, _ = merge_parallel_negative(graph)
-            assert laplacian_of(merged) == laplacian_of(graph)
 
 
 class TestCycles:
