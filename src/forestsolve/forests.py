@@ -75,11 +75,37 @@ def _as_node_set(graph: Multidigraph, nodes: Iterable[int], what: str) -> tuple[
     return out
 
 
+def _extend_forests(
+    free: list[int], choices: Mapping[int, tuple[Edge, ...]],
+    chosen: dict[int, int], picked: list[int], found: list[list[int]],
+) -> None:
+    """Append to ``found`` every completion of ``picked``, the edge ids chosen
+    for the first len(picked) nodes of ``free``; ``chosen`` maps each of those
+    nodes to its edge's target."""
+    if len(picked) == len(free):
+        found.append(sorted(picked))
+        return
+    u = free[len(picked)]
+    for e in choices[u]:
+        v = e.target
+        while v in chosen:
+            v = chosen[v]
+        if v == u:
+            continue  # adding u -> target would close a directed cycle
+        chosen[u] = e.target
+        picked.append(e.eid)
+        _extend_forests(free, choices, chosen, picked, found)
+        picked.pop()
+        del chosen[u]
+
+
 def enumerate_rooted_forests(graph: Multidigraph, roots: Iterable[int]) -> list[Forest]:
     """All spanning forests whose trees are rooted exactly at ``roots``.
 
     Backtracks over the outgoing-edge choice of each non-root node with an
-    incremental acyclicity check; output sorted by edge-id tuple.
+    incremental acyclicity check; output sorted by edge-id tuple.  The
+    search state lives in the call, so nothing outlives it except the
+    returned list.
     """
     b = _as_node_set(graph, roots, "root set")
     root_set = set(b)
@@ -87,32 +113,8 @@ def enumerate_rooted_forests(graph: Multidigraph, roots: Iterable[int]) -> list[
     choices = {n: graph.out_edges(n) for n in free}
     if any(not choices[n] for n in free):
         return []
-
-    chosen: dict[int, int] = {}  # node -> chosen target
-
-    def terminal(v: int) -> int:
-        while v in chosen:
-            v = chosen[v]
-        return v
-
     found: list[list[int]] = []
-    picked: list[int] = []
-
-    def recurse(idx: int) -> None:
-        if idx == len(free):
-            found.append(sorted(picked))
-            return
-        u = free[idx]
-        for e in choices[u]:
-            if terminal(e.target) == u:
-                continue  # adding u -> target would close a directed cycle
-            chosen[u] = e.target
-            picked.append(e.eid)
-            recurse(idx + 1)
-            picked.pop()
-            del chosen[u]
-
-    recurse(0)
+    _extend_forests(free, choices, {}, [], found)
     found.sort()
     return [forest_from_edges(graph, eids) for eids in found]
 

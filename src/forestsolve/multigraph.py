@@ -168,7 +168,9 @@ def node_cycles(graph: Multidigraph) -> list[tuple[int, ...]]:
     """All directed simple cycles as node sequences (start = smallest node).
 
     Each cycle appears once, anchored at its minimal node; deterministic
-    order (anchor, then node sequence).
+    order (anchor, then node sequence).  The search is an iterative
+    depth-first walk over a stack of neighbour iterators, so nothing
+    outlives the call except the returned list.
     """
     adj: dict[int, list[int]] = {n: [] for n in graph.nodes}
     for s, t in graph.arcs():
@@ -180,19 +182,23 @@ def node_cycles(graph: Multidigraph) -> list[tuple[int, ...]]:
     for start in graph.nodes:
         path = [start]
         on_path = {start}
-
-        def extend(u: int) -> None:
-            for v in adj[u]:
+        succ = iter(adj[start])  # the unvisited successors of the last path node
+        parents: list = []  # the same for the path nodes before it
+        while True:
+            for v in succ:
                 if v == start:
                     cycles.append(tuple(path))
                 elif v > start and v not in on_path:
                     path.append(v)
                     on_path.add(v)
-                    extend(v)
-                    path.pop()
-                    on_path.remove(v)
-
-        extend(start)
+                    parents.append(succ)
+                    succ = iter(adj[v])
+                    break
+            else:
+                if not parents:
+                    break
+                on_path.remove(path.pop())
+                succ = parents.pop()
     return cycles
 
 

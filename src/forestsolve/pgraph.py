@@ -26,6 +26,7 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 from .forests import Forest, enumerate_rooted_forests, forest_from_edges
 from .linsys import LinearSystem, Solution, bordered_laplacian, tree_solution
 from .multigraph import (
+    Edge,
     Laplacian,
     Multidigraph,
     canonical_graph,
@@ -205,6 +206,34 @@ def _cycle_through_two(graph: Multidigraph, arcs: Collection[tuple[int, int]]) -
     return any(sum(arc in arcs for arc in cycle) > 1 for cycle in hops)
 
 
+def _assign_groups(
+    graph: Multidigraph, needs: Sequence[Edge], candidates: Mapping[int, list[int]],
+    assignment: dict[int, tuple[int, ...]], used: frozenset[int],
+) -> bool:
+    """Extend ``assignment`` to every edge of ``needs``, or report failure.
+
+    The next edge to group, ``needs[len(assignment)]``, takes the first
+    subset (in mask order) of its candidates outside ``used`` whose labels
+    sum with its own to a nonnegative polynomial.
+    """
+    if len(assignment) == len(needs):
+        return True
+    need = needs[len(assignment)]
+    avail = [eid for eid in candidates[need.eid] if eid not in used]
+    for mask in range(1 << len(avail)):
+        subset = tuple(avail[k] for k in range(len(avail)) if mask >> k & 1)
+        total = need.label
+        for eid in subset:
+            total = total + graph.edge(eid).label
+        if not is_nonneg(total):
+            continue
+        assignment[need.eid] = subset
+        if _assign_groups(graph, needs, candidates, assignment, used | frozenset(subset)):
+            return True
+        del assignment[need.eid]
+    return False
+
+
 def find_mu(graph: Multidigraph) -> dict[int, frozenset[int]] | None:
     """Search for a grouping making the fixed graph a certificate.
 
@@ -234,28 +263,7 @@ def find_mu(graph: Multidigraph) -> dict[int, frozenset[int]] | None:
         }
 
         assignment: dict[int, tuple[int, ...]] = {}
-
-        def assign(idx: int, used: frozenset[int]) -> bool:
-            if idx == len(needs):
-                return True
-            need = needs[idx]
-            avail = [eid for eid in candidates[need.eid] if eid not in used]
-            for mask in range(1 << len(avail)):
-                subset = tuple(
-                    avail[k] for k in range(len(avail)) if mask >> k & 1
-                )
-                total = need.label
-                for eid in subset:
-                    total = total + graph.edge(eid).label
-                if not is_nonneg(total):
-                    continue
-                assignment[need.eid] = subset
-                if assign(idx + 1, used | frozenset(subset)):
-                    return True
-                del assignment[need.eid]
-            return False
-
-        if not assign(0, frozenset()):
+        if not _assign_groups(graph, needs, candidates, assignment, frozenset()):
             return None
         for eid, subset in assignment.items():
             mu[eid] = frozenset(subset)

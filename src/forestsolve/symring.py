@@ -442,6 +442,28 @@ def rat_equal(a: RationalExpr, b: RationalExpr) -> bool:
 # determinants of polynomial matrices
 
 
+class _MinorTable:
+    """The memo and the cofactor expansion behind :func:`minor_table`."""
+
+    def __init__(self, rows: Sequence[Sequence[Polynomial]]):
+        # (entry, -entry) for the even and odd cofactor positions; None for zero
+        self.signed = [[(e, -e) if e else None for e in row] for row in rows]
+        self.memo: dict[tuple[int, ...], Polynomial] = {(): Polynomial.one()}
+
+    def __call__(self, cols: Sequence[int]) -> Polynomial:
+        cols = tuple(cols)
+        if cols not in self.memo:
+            if len(cols) > len(self.signed):
+                raise ValueError(f"{len(cols)} columns for a minor of {len(self.signed)} rows")
+            row = self.signed[-len(cols)]  # the first of the last len(cols) rows
+            self.memo[cols] = sum_products(
+                (row[c][idx & 1], self(cols[:idx] + cols[idx + 1 :]))
+                for idx, c in enumerate(cols)
+                if row[c] is not None
+            )
+        return self.memo[cols]
+
+
 def minor_table(
     rows: Sequence[Sequence[Polynomial]],
 ) -> Callable[[Sequence[int]], Polynomial]:
@@ -452,27 +474,11 @@ def minor_table(
     columns give a k x k minor.  It expands by cofactors along the first of
     those rows, each step one :func:`sum_products`, and keeps every minor in
     one memo shared by all queries: queries whose columns overlap share
-    their sub-minors.  No division is used.
+    their sub-minors.  No division is used.  The table refers to itself
+    only through the calls it is making, so nothing outlives the caller's
+    last reference to it: the memo is freed with the table.
     """
-    k = len(rows)
-    # (entry, -entry) for the even and odd cofactor positions; None for zero
-    signed = [[(e, -e) if e else None for e in row] for row in rows]
-    memo: dict[tuple[int, ...], Polynomial] = {(): Polynomial.one()}
-
-    def minor(cols: Sequence[int]) -> Polynomial:
-        cols = tuple(cols)
-        if cols not in memo:
-            if len(cols) > k:
-                raise ValueError(f"{len(cols)} columns for a minor of {k} rows")
-            row = signed[k - len(cols)]
-            memo[cols] = sum_products(
-                (row[c][idx & 1], minor(cols[:idx] + cols[idx + 1 :]))
-                for idx, c in enumerate(cols)
-                if row[c] is not None
-            )
-        return memo[cols]
-
-    return minor
+    return _MinorTable(rows)
 
 
 def det_matrix(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
