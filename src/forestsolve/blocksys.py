@@ -255,8 +255,15 @@ def solve_block(system: LinearSystem, blocks: BlockStructure) -> Solution:
     table over the :func:`realization`, and each component is one
     :func:`sum_products` over (-b_k * weight, minor) pairs.
     """
+    return _solve_realization(system, blocks, realization(system, blocks))
+
+
+def _solve_realization(
+    system: LinearSystem, blocks: BlockStructure, lap: Laplacian
+) -> Solution:
+    """:func:`solve_block` on the already built :func:`realization` ``lap``."""
     d, last, j = blocks.d, blocks.m + 1, blocks.j
-    sums = ForestSums(realization(system, blocks), blocks.distinguished())
+    sums = ForestSums(lap, blocks.distinguished())
 
     def family(scale: Polynomial, skip: int | None = None, ell: int | None = None):
         # Root sets: beta_i in each block i != skip, m+1 unless skip = d+1, and
@@ -379,7 +386,7 @@ def certify_block_nonneg(
     witness = is_pgraph(graph, mu)
     if witness is None:
         raise AssertionError("search returned an invalid certificate")
-    solution = solve_block(system, blocks)
+    solution = _solve_realization(system, blocks, lap)
     if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
         raise AssertionError("certified component has mixed signs")
     return solution, witness

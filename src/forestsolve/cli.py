@@ -11,6 +11,7 @@ command prints byte-identical output for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -305,7 +306,10 @@ def _add_io(parser: argparse.ArgumentParser, *formats: str) -> None:
         parser.add_argument("--format", choices=formats, default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of :func:`main`, built on the first call and shared:
+    a build costs more than a small command and leaves reference cycles."""
     parser = argparse.ArgumentParser(
         prog="forestsolve",
         description="Spanning-forest solving and nonnegativity certification "
@@ -361,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .forests import Forest, enumerate_rooted_forests, forest_from_edges
-from .linsys import LinearSystem, Solution, bordered_laplacian, tree_solution
+from .forests import Forest, ForestSums, enumerate_rooted_forests, forest_from_edges
+from .linsys import LinearSystem, Solution, bordered_laplacian
 from .multigraph import (
     Edge,
     Laplacian,
@@ -586,9 +586,11 @@ def certify_nonneg(
 ) -> tuple[Solution, PGraphWitness] | None:
     """Certify that every solution component is a nonnegative quotient.
 
-    Searches for a certificate graph realizing the bordered matrix; on
-    success the solution is computed on that graph and each component's
-    numerator and denominator is verified coefficientwise nonnegative.
+    Searches for a certificate graph realizing the bordered matrix.  On
+    success N_i and D are the tree sums rooted at i and at m+1, read as
+    signed minors of that matrix from one :class:`forests.ForestSums` table
+    (all-minors matrix-tree theorem), and each is verified coefficientwise
+    nonnegative.  The graph's forests enter only the proof of that sign.
     """
     lap = bordered_laplacian(system)
     found = find_pgraph(lap)
@@ -598,7 +600,14 @@ def certify_nonneg(
     witness = is_pgraph(graph, mu)
     if witness is None:
         raise AssertionError("search returned an invalid certificate")
-    solution = tree_solution(graph)
+    last = lap.size
+    sums = ForestSums(lap, (last,))
+
+    def tree_sum(root: int) -> Polynomial:
+        sign, minor = sums.signed_minor({last: root})
+        return minor if sign > 0 else -minor
+
+    solution = Solution(tuple(map(tree_sum, range(1, last))), tree_sum(last))
     if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
         raise AssertionError("certified tree sum has mixed signs")
     return solution, witness

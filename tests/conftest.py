@@ -325,6 +325,16 @@ def root_sets(blocks: BlockStructure, skip: int | None = None) -> list[tuple[int
     return [tuple(sorted(combo)) for combo in itertools.product(*pools)]
 
 
+def system_of_laplacian(lap) -> LinearSystem:
+    """The system (A | b) whose bordered matrix is the zero-column-sum ``lap``."""
+    m = lap.size - 1
+    return LinearSystem.build(
+        [f"x{i}" for i in range(1, m + 1)],
+        [row[:m] for row in lap.rows[:m]],
+        [row[m] for row in lap.rows[:m]],
+    )
+
+
 def random_certificate_cases(rng: random.Random, count: int):
     """Laplacians admitting a certificate graph with at least one negative edge.
 

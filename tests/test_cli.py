@@ -14,6 +14,7 @@ from forestsolve import (
     blocksys,
     cli,
     cramer_oracle,
+    forests,
     linsys,
     parameterize,
     pgraph,
@@ -98,6 +99,22 @@ class TestCertify:
         )
         assert code == 0
         assert out.startswith("digraph G {")
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_certify_enumerates_no_forest(
+        self, capsys, monkeypatch, system_file, mmatrix_file, fmt
+    ):
+        # certify reads N and D as minors; the graph's forests belong to the
+        # proof, so patching the enumeration to raise changes nothing
+        def refuse(*args, **kwargs):
+            raise RuntimeError("forest enumeration reached from certify")
+
+        for module in (forests, linsys, pgraph):
+            for name in ("enumerate_rooted_forests", "upsilon_rooted"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        for path, code in ((system_file, 0), (mmatrix_file, 1)):
+            assert run(capsys, ["certify", "--input", path, "--format", fmt])[0] == code
 
 
 class TestBlockCommands:

@@ -11,6 +11,7 @@ then finds nothing to free.
 from __future__ import annotations
 
 import gc
+import json
 
 import pytest
 
@@ -21,6 +22,7 @@ from forestsolve import (
     bordered_laplacian,
     certify_block_nonneg,
     certify_nonneg,
+    cli,
     cramer_oracle,
     det_matrix,
     enumerate_rooted_forests,
@@ -29,6 +31,7 @@ from forestsolve import (
     parameterize,
     solve_block,
     solve_by_trees,
+    system_to_json,
 )
 from forestsolve.multigraph import node_cycles
 
@@ -96,6 +99,29 @@ CALLS = {
 def test_call_leaves_no_cyclic_garbage(name, request):
     fn, *args = CALLS[name](request)
     assert cyclic_garbage(lambda: fn(*args)) == 0
+
+
+def test_cli_call_leaves_no_parser_garbage(tmp_path, three_var_system):
+    """``cli.main`` builds its parser once, so after a first call (whose
+    build leaves argparse's formatter cycles) a call leaves no argparse
+    object.  The JSON encoder that indented output uses is pure Python and
+    leaves its own cycles, so those are not counted."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_to_json(three_var_system)))
+    argv = ["certify", "--input", str(path), "--output", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.main(argv) == 0
+        gc.collect()
+        left = {type(obj).__module__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert "argparse" not in left
 
 
 def test_calls_reach_their_searches(three_var_system, five_var_system):

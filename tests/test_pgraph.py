@@ -29,9 +29,11 @@ from forestsolve import (
     positive_upsilon,
     psi_fiber,
     rat_equal,
+    realization,
     upsilon_rooted,
     validate_partition,
 )
+from forestsolve.linsys import tree_solution
 from forestsolve.multigraph import (
     node_cycles,
     random_multidigraph,
@@ -41,7 +43,7 @@ from forestsolve.multigraph import (
 from forestsolve.pgraph import _arc_common_nodes
 from forestsolve.symring import Sign
 
-from conftest import ZERO, C, random_certificate_cases, zvar
+from conftest import ZERO, C, random_certificate_cases, system_of_laplacian, zvar
 
 P = parse_poly
 
@@ -427,6 +429,39 @@ class TestCertifyNonneg:
         )
         outcome = certify_nonneg(system)
         assert outcome is not None
+
+    def test_solution_is_the_tree_sums_of_the_certificate(
+        self, three_var_system, mmatrix_system, block_three_system, five_var_system
+    ):
+        # certify reads N and D as minors of the bordered matrix; the tree
+        # sums enumerated on its certificate graph are the independent
+        # reference, equal exactly, sign included
+        assert certify_nonneg(mmatrix_system) is None
+        systems = [three_var_system]
+        systems += [
+            system_of_laplacian(realization(*case))
+            for case in (block_three_system, five_var_system)
+        ]
+        systems += [
+            system_of_laplacian(lap)
+            for seed in range(1, 13)
+            for lap, _ in random_certificate_cases(random.Random(seed), 6)
+        ]
+        certified = 0
+        for system in systems:
+            graph, _ = find_pgraph(bordered_laplacian(system))
+            try:
+                want = tree_solution(graph)
+            except SingularSystemError:
+                with pytest.raises(SingularSystemError):
+                    certify_nonneg(system)
+                continue
+            solution, witness = certify_nonneg(system)
+            assert witness.graph == graph
+            assert solution.numerators == want.numerators
+            assert solution.denominator == want.denominator
+            certified += 1
+        assert (certified, len(systems)) == (13, 75)
 
     def test_singular_system_raises(self):
         system = LinearSystem.build(
