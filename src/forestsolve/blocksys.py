@@ -44,6 +44,7 @@ from .symring import (
     is_nonpos,
     monomial_split,
     poly_sign,
+    poly_sum,
     sum_products,
 )
 
@@ -222,13 +223,11 @@ def realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
     ]
     for k, jk in enumerate(blocks.j, start=1):
         for col in blocks.block_nodes(k):
-            rest = -sum((row[col - 1] for row in rows), zero)
+            rest = -poly_sum(row[col - 1] for row in rows)
             keep = is_nonpos if col == jk else is_nonneg
             if rest:
-                rows[jk - 1][col - 1] = sum(
-                    (mono for mono in monomial_split(rest) if keep(mono)), zero
-                )
-    rows.append([-sum((row[c] for row in rows), zero) for c in range(m + 1)])
+                rows[jk - 1][col - 1] = poly_sum(mono for mono in monomial_split(rest) if keep(mono))
+    rows.append([-poly_sum(row[c] for row in rows) for c in range(m + 1)])
     lap = Laplacian(rows)
     problems = validate_acompatible(canonical_graph(lap), blocks, system)
     if problems:

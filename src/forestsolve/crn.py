@@ -24,7 +24,7 @@ from .blocksys import (
 )
 from .linsys import LinearSystem, SingularSystemError
 from .pgraph import PGraphWitness
-from .symring import Polynomial, RationalExpr, monomial_split
+from .symring import Polynomial, RationalExpr, monomial_split, poly_sum, sum_products
 
 _ARROW_REV = "<->"
 _ARROW_FWD = "->"
@@ -174,17 +174,16 @@ def mass_action_odes(net: Network) -> list[Polynomial]:
     Each reaction contributes its rate symbol times the product of reactant
     concentrations (with multiplicity), weighted by the net stoichiometry.
     """
-    matrix = stoichiometric_matrix(net)
-    rhs = [Polynomial.zero() for _ in net.species]
-    for r_idx, reaction in enumerate(net.reactions):
+    velocities = []
+    for reaction in net.reactions:
         velocity = Polynomial.variable(reaction.rate)
         for name, coeff in reaction.reactants:
             velocity = velocity * Polynomial.variable(name) ** coeff
-        for s_idx in range(len(net.species)):
-            change = matrix[s_idx][r_idx]
-            if change:
-                rhs[s_idx] = rhs[s_idx] + change * velocity
-    return rhs
+        velocities.append(velocity)
+    return [
+        sum_products((Polynomial.constant(c), v) for c, v in zip(row, velocities) if c)
+        for row in stoichiometric_matrix(net)
+    ]
 
 
 def conservation_laws(net: Network) -> list[list[int]]:
@@ -283,11 +282,9 @@ def _linear_row(
 ) -> tuple[list[Polynomial], Polynomial]:
     """Split a polynomial into coefficients of the unknowns and the rest."""
     unknown = set(solve_for)
-    coeffs = {name: Polynomial.zero() for name in solve_for}
-    constant = Polynomial.zero()
-    if poly.is_zero():
-        return [coeffs[n] for n in solve_for], constant
-    for mono in monomial_split(poly):
+    coeffs: dict[str, list[Polynomial]] = {name: [] for name in solve_for}
+    constant: list[Polynomial] = []
+    for mono in monomial_split(poly) if poly else ():
         exps, coeff = mono.terms[0]
         hits = [(name, e) for name, e in exps if name in unknown]
         degree = sum(e for _, e in hits)
@@ -296,12 +293,12 @@ def _linear_row(
                 f"monomial {mono} is not linear in the unknowns"
             )
         if degree == 0:
-            constant = constant + mono
+            constant.append(mono)
         else:
             name = hits[0][0]
             rest = tuple((n, e) for n, e in exps if n != name)
-            coeffs[name] = coeffs[name] + Polynomial({rest: coeff})
-    return [coeffs[n] for n in solve_for], constant
+            coeffs[name].append(Polynomial({rest: coeff}))
+    return [poly_sum(coeffs[n]) for n in solve_for], poly_sum(constant)
 
 
 def build_steady_system(
@@ -345,11 +342,10 @@ def build_steady_system(
         if s in replaced:
             use = replaced[s]
             law = laws[use.law_index - 1]
-            expr = Polynomial.zero()
-            for idx, c in enumerate(law):
-                if c:
-                    expr = expr + c * Polynomial.variable(net.species[idx])
-            expr = expr - Polynomial.variable(use.total)
+            expr = poly_sum(
+                [c * Polynomial.variable(x) for c, x in zip(law, net.species) if c]
+                + [-Polynomial.variable(use.total)]
+            )
             conservation_rows.append(len(rows) + 1)
         else:
             expr = odes[s - 1]

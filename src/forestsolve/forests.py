@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .multigraph import Edge, Laplacian, Multidigraph, laplacian_of
-from .symring import Polynomial, minor_table
+from .symring import Polynomial, minor_table, poly_sum, sum_products
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,7 @@ def upsilon(graph: Multidigraph, contains: Iterable[int], roots: Iterable[int]) 
     """Unsigned forest sum: total label product over matching forests."""
     f = _as_node_set(graph, contains, "node set")
     b = _as_node_set(graph, roots, "root set")
-    total = Polynomial.zero()
-    for zeta in enumerate_forests(graph, f, b):
-        total = total + forest_label(graph, zeta)
-    return total
+    return poly_sum(forest_label(graph, zeta) for zeta in enumerate_forests(graph, f, b))
 
 
 def upsilon_signed(
@@ -173,14 +170,11 @@ def upsilon_signed(
     """Forest sum weighted by the parity of the root-assignment bijection."""
     f = _as_node_set(graph, contains, "node set")
     b = _as_node_set(graph, roots, "root set")
-    total = Polynomial.zero()
-    for zeta in enumerate_forests(graph, f, b):
-        label = forest_label(graph, zeta)
-        if inversion_count(zeta, f) % 2 == 0:
-            total = total + label
-        else:
-            total = total - label
-    return total
+    signs = (Polynomial.one(), -Polynomial.one())
+    return sum_products(
+        (forest_label(graph, zeta), signs[inversion_count(zeta, f) % 2])
+        for zeta in enumerate_forests(graph, f, b)
+    )
 
 
 def upsilon_rooted(graph: Multidigraph, root: int) -> Polynomial:

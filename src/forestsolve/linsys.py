@@ -24,7 +24,8 @@ from .symring import (
     RationalExpr,
     det_matrix,
     parse_poly,
-    ratio,
+    poly_sum,
+    ratios,
     sum_products,
 )
 
@@ -78,7 +79,8 @@ class Solution:
 
     D is a weighted forest sum, +-det(A) by the all-minors matrix-tree
     theorem, so a vanishing D means a singular system.  Indexing and
-    iteration give the components reduced one by one with :func:`ratio`.
+    iteration give the components reduced with :func:`ratios`, which
+    reduces the shared denominator once.
     """
 
     numerators: tuple[Polynomial, ...]
@@ -90,7 +92,7 @@ class Solution:
 
     @cached_property
     def components(self) -> tuple[RationalExpr, ...]:
-        return tuple(ratio(num, self.denominator) for num in self.numerators)
+        return ratios(self.numerators, self.denominator)
 
     def __iter__(self):
         return iter(self.components)
@@ -113,13 +115,7 @@ def bordered_laplacian(system: LinearSystem) -> Laplacian:
     """Extend (A | b) by the row making every column sum to zero."""
     m = system.m
     rows = [list(system.a[i]) + [system.b[i]] for i in range(m)]
-    last = []
-    for j in range(m + 1):
-        s = Polynomial.zero()
-        for i in range(m):
-            s = s + rows[i][j]
-        last.append(-s)
-    rows.append(last)
+    rows.append([-poly_sum(row[j] for row in rows) for j in range(m + 1)])
     return Laplacian(rows)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .symring import Polynomial, Sign, parse_poly, poly_sign
+from .symring import Polynomial, Sign, parse_poly, poly_sign, poly_sum, sum_products
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,7 @@ class Laplacian:
             if len(row) != n:
                 raise ValueError("Laplacian must be square")
         for j in range(n):
-            col_sum = Polynomial.zero()
-            for i in range(n):
-                col_sum = col_sum + rows[i][j]
-            if not col_sum.is_zero():
+            if not poly_sum(row[j] for row in rows).is_zero():
                 raise ValueError(f"column {j + 1} does not sum to zero")
         object.__setattr__(self, "rows", rows)
 
@@ -135,12 +132,13 @@ class Laplacian:
 
 def laplacian_of(graph: Multidigraph) -> Laplacian:
     """Laplacian of a labeled multidigraph (column sums zero by construction)."""
-    n = graph.node_count
-    rows = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
+    one = Polynomial.one()
+    signed: dict[tuple[int, int], list[tuple[Polynomial, Polynomial]]] = {}
     for e in graph.edges:
-        rows[e.target - 1][e.source - 1] = rows[e.target - 1][e.source - 1] + e.label
-        rows[e.source - 1][e.source - 1] = rows[e.source - 1][e.source - 1] - e.label
-    return Laplacian(rows)
+        signed.setdefault((e.target, e.source), []).append((e.label, one))
+        signed.setdefault((e.source, e.source), []).append((e.label, -one))
+    nodes = range(1, graph.node_count + 1)
+    return Laplacian([[sum_products(signed.get((i, j), ())) for j in nodes] for i in nodes])
 
 
 def canonical_graph(lap: Laplacian | Sequence[Sequence[Polynomial]]) -> Multidigraph:

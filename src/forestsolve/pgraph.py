@@ -39,6 +39,7 @@ from .symring import (
     is_nonneg,
     monomial_split,
     poly_sign,
+    poly_sum,
 )
 
 
@@ -174,9 +175,7 @@ def is_pgraph(
     full_mu = _normalize_mu(graph, mu)
     sums: dict[int, Polynomial] = {}
     for eid, group in full_mu.items():
-        total = graph.edge(eid).label
-        for other in group:
-            total = total + graph.edge(other).label
+        total = poly_sum(graph.edge(k).label for k in (eid, *group))
         if not is_nonneg(total):
             return None
         sums[eid] = total
@@ -222,10 +221,7 @@ def _assign_groups(
     avail = [eid for eid in candidates[need.eid] if eid not in used]
     for mask in range(1 << len(avail)):
         subset = tuple(avail[k] for k in range(len(avail)) if mask >> k & 1)
-        total = need.label
-        for eid in subset:
-            total = total + graph.edge(eid).label
-        if not is_nonneg(total):
+        if not is_nonneg(poly_sum([need.label, *(graph.edge(eid).label for eid in subset)])):
             continue
         assignment[need.eid] = subset
         if _assign_groups(graph, needs, candidates, assignment, used | frozenset(subset)):
@@ -368,10 +364,7 @@ def find_pgraph(
             if entry.is_zero():
                 continue
             pos = [m for m in monomial_split(entry) if poly_sign(m) == Sign.NONNEG]
-            neg = Polynomial.zero()
-            for m in monomial_split(entry):
-                if poly_sign(m) == Sign.NONPOS:
-                    neg = neg + m
+            neg = poly_sum(m for m in monomial_split(entry) if poly_sign(m) == Sign.NONPOS)
             if pos:
                 pos_monomials[(j, i)] = pos
             if not neg.is_zero():
@@ -547,7 +540,7 @@ def positive_upsilon(witness: PGraphWitness, root: int) -> Polynomial:
     certified nonnegative; the total equals the plain tree sum.
     """
     graph = witness.graph
-    total = Polynomial.zero()
+    terms = []
     for zeta in lambda_forests(witness, (root,)):
         term = Polynomial.one()
         for eid in zeta.edge_ids:
@@ -556,8 +549,8 @@ def positive_upsilon(witness: PGraphWitness, root: int) -> Polynomial:
                 term = term * witness.group_sums[eid]
             else:
                 term = term * label
-        total = total + term
-    return total
+        terms.append(term)
+    return poly_sum(terms)
 
 
 def nonzero_component(witness: PGraphWitness, root: int) -> bool:

@@ -1,13 +1,16 @@
 """Exact multivariate polynomial arithmetic and reduced rational expressions.
 
-Polynomials have arbitrary-precision rational coefficients (Fraction) and are
-kept in a canonical form: a sorted tuple of (exponent-map, coefficient) terms
-with no zero coefficients.  Equality is structural equality of the canonical
-form, so polynomial identity testing is fully reliable.  The public
-constructor validates outside input; arithmetic results are canonicalized
-once, without re-validation.  Rational expressions are reduced for display
-and evaluation only; they have no arithmetic.  Sums of products are
-accumulated into one term map and canonicalized once (:func:`sum_products`).
+A polynomial is a map from exponents to nonzero coefficients, kept in no
+order while it is computed with.  Coefficients are ``int`` where integer
+arithmetic made them, and ``Fraction`` where a non-integral one took part.
+Equality compares the maps, so polynomial identity testing is fully
+reliable.  Order is observed only through :attr:`Polynomial.terms`,
+:meth:`Polynomial.leading` and printing, which share one sort, made on first
+use and kept; ``terms`` and ``leading`` show coefficients as ``Fraction``.
+The public constructor validates outside input; arithmetic results are built
+without re-validation.  Rational expressions are reduced for display and
+evaluation only; they have no arithmetic.  Every sum, plain or of products,
+is accumulated into one term map (:func:`sum_products`, :func:`poly_sum`).
 All minors and determinants come from one kind of table: memoized cofactor
 expansion over a fixed row set, whose memo is shared by every query
 (:func:`minor_table`).
@@ -70,22 +73,13 @@ def _term_key(term: tuple[Exponents, Fraction]) -> tuple:
     return (-degree, negated)
 
 
-def _canonical_terms(terms: Mapping[Exponents, Fraction]) -> tuple:
-    """Nonzero terms in canonical order."""
-    # sorted in place and copied at its exact size: building the tuple from a
-    # generator resizes it as it grows and left peak RSS higher
-    items = [t for t in terms.items() if t[1]]
-    items.sort(key=_term_key)
-    return tuple(items)
-
-
 class Polynomial:
     """Immutable multivariate polynomial over the rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_map", "_order")
 
-    def __init__(self, terms: Mapping[Exponents, Fraction] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponents, int | Fraction] | None = None):
+        clean: dict[Exponents, int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
                 coeff = Fraction(coeff)
@@ -96,15 +90,18 @@ class Polynomial:
                         raise ValueError(f"nonpositive exponent in {exps}")
                     if not _NAME_RE.fullmatch(name):
                         raise ValueError(f"bad variable name {name!r}")
-                clean[exps] = coeff
-        object.__setattr__(self, "_terms", _canonical_terms(clean))
+                clean[exps] = coeff.numerator if coeff.denominator == 1 else coeff
+        self._map = clean
+        self._order = None
 
     @staticmethod
-    def _build(terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Arithmetic result: its terms come from valid polynomials, so it is
-        only canonicalized, not validated again as :meth:`__init__` does."""
+    def _build(terms: dict[Exponents, int | Fraction]) -> "Polynomial":
+        """Arithmetic result: its terms come from valid polynomials and are
+        nonzero, so the map is kept as it is, not validated again as
+        :meth:`__init__` does."""
         p = object.__new__(Polynomial)
-        object.__setattr__(p, "_terms", _canonical_terms(terms))
+        p._map = terms
+        p._order = None
         return p
 
     # -- constructors -------------------------------------------------------
@@ -119,32 +116,42 @@ class Polynomial:
 
     @staticmethod
     def constant(value: int | Fraction) -> "Polynomial":
-        return Polynomial({(): Fraction(value)})
+        return Polynomial({(): value})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
         if not _NAME_RE.fullmatch(name):
             raise ValueError(f"bad variable name {name!r}")
-        return Polynomial({((name, 1),): Fraction(1)})
+        return Polynomial({((name, 1),): 1})
 
     # -- inspection ---------------------------------------------------------
 
+    def _ordered(self) -> tuple[tuple[Exponents, int | Fraction], ...]:
+        """The term map's items in canonical order: sorted on the first call
+        and kept with the polynomial."""
+        if self._order is None:
+            items = list(self._map.items())
+            items.sort(key=_term_key)
+            self._order = tuple(items)
+        return self._order
+
     @property
     def terms(self) -> tuple[tuple[Exponents, Fraction], ...]:
-        """Terms in canonical (descending graded-lex) order."""
-        return self._terms
+        """Terms in canonical (descending graded-lex) order, with Fraction
+        coefficients."""
+        return tuple((exps, Fraction(c)) for exps, c in self._ordered())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._map
 
     def variables(self) -> tuple[str, ...]:
-        names = {name for exps, _ in self._terms for name, _ in exps}
-        return tuple(sorted(names))
+        return tuple(sorted({name for exps in self._map for name, _ in exps}))
 
     def leading(self) -> tuple[Exponents, Fraction]:
-        if not self._terms:
+        if not self._map:
             raise ValueError("zero polynomial has no leading term")
-        return self._terms[0]
+        exps, coeff = self._ordered()[0]
+        return exps, Fraction(coeff)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -160,19 +167,16 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        if not q._terms:
+        if not q._map:
             return self
-        if not self._terms:
+        if not self._map:
             return q
-        out = dict(self._terms)
-        for exps, coeff in q._terms:
-            out[exps] = out[exps] + coeff if exps in out else coeff
-        return Polynomial._build(out)
+        return poly_sum((self, q))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._build({exps: -coeff for exps, coeff in self._terms})
+        return Polynomial._build({exps: -c for exps, c in self._map.items()})
 
     def __sub__(self, other) -> "Polynomial":
         q = self._coerce(other)
@@ -212,39 +216,48 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._terms == q._terms
+        return self._map == q._map
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        # an int and an equal Fraction hash alike, as equality needs
+        return hash(frozenset(self._map.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._map)
 
     # -- evaluation and display ---------------------------------------------
 
     def evaluate(self, point: Mapping[str, int | Fraction]) -> Fraction:
         """Exact value at a point assigning a rational to every variable."""
-        # each term's numerator and denominator as integer products, so one
-        # Fraction is normalized per term rather than one per factor
-        values: dict[str, Fraction] = {}
-        total = Fraction(0)
-        for exps, coeff in self._terms:
-            num, den = coeff.numerator, coeff.denominator
-            for name, e in exps:
-                if name not in values:
+        # integer numerators over one common denominator, widened to the lcm
+        # as terms need it, so one Fraction is normalized per call
+        powers: dict[tuple[str, int], tuple[int, int]] = {}
+        num, den = 0, 1
+        for exps, coeff in self._map.items():
+            tn, td = coeff.numerator, coeff.denominator
+            for pair in exps:
+                power = powers.get(pair)
+                if power is None:
+                    name, e = pair
                     if name not in point:
                         raise MissingVariableError(name)
-                    values[name] = Fraction(point[name])
-                num *= values[name].numerator ** e
-                den *= values[name].denominator ** e
-            total += Fraction(num, den)
-        return total
+                    value = Fraction(point[name])
+                    power = powers[pair] = (value.numerator**e, value.denominator**e)
+                tn *= power[0]
+                td *= power[1]
+            if den % td:
+                widen = td // math.gcd(den, td)
+                num *= widen
+                den *= widen
+            num += tn * (den // td)
+        return Fraction(num, den)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._map:
             return "0"
         parts: list[str] = []
-        for i, (exps, coeff) in enumerate(self._terms):
+        # int and Fraction coefficients print alike
+        for i, (exps, coeff) in enumerate(self._ordered()):
             mono = "*".join(
                 f"{name}^{e}" if e > 1 else name for name, e in exps
             )
@@ -270,6 +283,10 @@ def _mul_exps(e1: Exponents, e2: Exponents) -> Exponents:
         return e2
     if not e2:
         return e1
+    if e1[-1][0] < e2[0][0]:  # names apart: the concatenation is sorted
+        return e1 + e2
+    if e2[-1][0] < e1[0][0]:
+        return e2 + e1
     # reuse the factors' (name, exponent) pairs: in a memoized minor table,
     # pairs rebuilt for every term were most of its memory
     merged = {p[0]: p for p in e1}
@@ -280,19 +297,28 @@ def _mul_exps(e1: Exponents, e2: Exponents) -> Exponents:
 
 
 def sum_products(pairs: Iterable[tuple[Polynomial, Polynomial]]) -> Polynomial:
-    """The sum of p*q over the pairs, accumulated into one term map and
-    canonicalized once, rather than once per partial sum."""
-    out: dict[Exponents, Fraction] = {}
+    """The sum of p*q over the pairs, accumulated into one term map rather
+    than copied into a new one for every partial sum."""
+    out: dict[Exponents, int | Fraction] = {}
+    get = out.get
     for p, q in pairs:
-        for e1, c1 in p._terms:
-            for e2, c2 in q._terms:
+        for e1, c1 in p._map.items():
+            for e2, c2 in q._map.items():
                 exps = _mul_exps(e1, e2)
-                out[exps] = out[exps] + c1 * c2 if exps in out else c1 * c2
+                out[exps] = get(exps, 0) + c1 * c2
+    for exps in [exps for exps, c in out.items() if not c]:
+        del out[exps]
     return Polynomial._build(out)
 
 
+def poly_sum(polys: Iterable[Polynomial]) -> Polynomial:
+    """The sum of the polynomials: :func:`sum_products` with unit factors."""
+    return sum_products((p, _ONE) for p in polys)
+
+
 _ZERO = Polynomial()
-_ONE = Polynomial({(): Fraction(1)})
+_ONE = Polynomial({(): 1})
+_MINUS_ONE = Polynomial({(): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +329,8 @@ def poly_sign(p: Polynomial) -> Sign:
     """Coefficientwise sign class of ``p`` (see :class:`Sign`)."""
     if p.is_zero():
         return Sign.ZERO
-    has_pos = any(c > 0 for _, c in p.terms)
-    has_neg = any(c < 0 for _, c in p.terms)
+    has_pos = any(c > 0 for c in p._map.values())
+    has_neg = any(c < 0 for c in p._map.values())
     if has_pos and has_neg:
         return Sign.MIXED
     return Sign.NONNEG if has_pos else Sign.NONPOS
@@ -323,58 +349,40 @@ def monomial_split(p: Polynomial) -> list[Polynomial]:
     """Decompose ``p`` into its single-term summands, canonical order."""
     if p.is_zero():
         raise ValueError("cannot split the zero polynomial")
-    return [Polynomial({exps: coeff}) for exps, coeff in p.terms]
+    return [Polynomial._build({exps: c}) for exps, c in p._ordered()]
 
 
 # ---------------------------------------------------------------------------
 # rational expressions
 
 
-def _monomial_gcd(polys: Iterable[Polynomial]) -> Exponents:
-    """Largest monomial dividing every term of every given polynomial."""
-    common: dict[str, int] | None = None
-    for p in polys:
-        for exps, _ in p.terms:
-            emap = dict(exps)
-            if common is None:
-                common = emap
-            else:
-                common = {
-                    name: min(e, emap.get(name, 0))
-                    for name, e in common.items()
-                    if emap.get(name, 0) > 0
-                }
-            if not common:
-                return ()
-    return tuple(sorted((common or {}).items()))
+def _monomial_gcd(p: Polynomial, common: dict[str, int]) -> dict[str, int]:
+    """Largest monomial dividing ``common`` and every term of ``p``."""
+    for exps in p._map:
+        if not common:
+            break
+        emap = dict(exps)
+        common = {name: min(e, emap[name]) for name, e in common.items() if name in emap}
+    return common
 
 
-def _divide_monomial(p: Polynomial, exps: Exponents) -> Polynomial:
-    if not exps:
+def _divide_monomial(p: Polynomial, drop: dict[str, int]) -> Polynomial:
+    if not drop:
         return p
-    drop = dict(exps)
-    out: dict[Exponents, Fraction] = {}
-    for e, c in p.terms:
-        emap = dict(e)
-        for name, k in drop.items():
-            emap[name] -= k
-            if emap[name] == 0:
-                del emap[name]
-        out[tuple(sorted(emap.items()))] = c
-    return Polynomial(out)
+    out: dict[Exponents, int | Fraction] = {}
+    for exps, c in p._map.items():
+        quotient = ((q[0], q[1] - drop[q[0]]) if q[0] in drop else q for q in exps)
+        out[tuple(q for q in quotient if q[1])] = c
+    return Polynomial._build(out)
 
 
-def _content(polys: Iterable[Polynomial]) -> Fraction:
-    """Positive rational c with all coefficients of all polys / c coprime integers."""
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys:
-        for _, c in p.terms:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    if num_gcd == 0:
-        return Fraction(1)
-    return Fraction(num_gcd, den_lcm)
+def _content(p: Polynomial, num_gcd: int = 0, den_lcm: int = 1) -> tuple[int, int]:
+    """The gcd of the coefficient numerators and the lcm of their
+    denominators, over ``p`` and the given running values."""
+    for c in p._map.values():
+        num_gcd = math.gcd(num_gcd, c.numerator)
+        den_lcm = math.lcm(den_lcm, c.denominator)
+    return num_gcd, den_lcm
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,21 +424,42 @@ class RationalExpr:
 
 def ratio(num: Polynomial, den: Polynomial) -> RationalExpr:
     """Build a reduced rational expression num/den (den must be nonzero)."""
+    return ratios((num,), den)[0]
+
+
+def ratios(nums: Sequence[Polynomial], den: Polynomial) -> tuple[RationalExpr, ...]:
+    """Each num/den reduced as by :func:`ratio`.  The denominator's monomial
+    gcd, content and sign are found once, and numerators that remove the same
+    factor from it share one reduced denominator."""
     if den.is_zero():
         raise ZeroDivisionError("zero denominator polynomial")
-    if num.is_zero():
-        return RationalExpr(Polynomial.zero(), Polynomial.one())
-    g = _monomial_gcd([num, den])
-    num = _divide_monomial(num, g)
-    den = _divide_monomial(den, g)
-    c = _content([num, den])
-    if c != 1:
-        inv = 1 / c
-        num = num * inv
-        den = den * inv
-    if den.leading()[1] < 0:
-        num, den = -num, -den
-    return RationalExpr(num, den)
+    den_gcd = _monomial_gcd(den, dict(next(iter(den._map))))
+    den_content = _content(den)
+    sign = -1 if den.leading()[1] < 0 else 1
+    reduced: dict[tuple, Polynomial] = {}
+    out = []
+    for num in nums:
+        if num.is_zero():
+            out.append(RationalExpr(Polynomial.zero(), Polynomial.one()))
+            continue
+        g = _monomial_gcd(num, den_gcd)
+        content = _content(num, *den_content)
+        key = (tuple(sorted(g.items())), content)
+        if key not in reduced:
+            reduced[key] = _reduce(den, g, content, sign)
+        out.append(RationalExpr(_reduce(num, g, content, sign), reduced[key]))
+    return tuple(out)
+
+
+def _reduce(p: Polynomial, g: dict[str, int], content: tuple[int, int], sign: int) -> Polynomial:
+    """``sign * p / (g * num_gcd / den_lcm)``, whose coefficients are integers."""
+    p = _divide_monomial(p, g)
+    num_gcd, den_lcm = content
+    if num_gcd == den_lcm == sign == 1:
+        return p
+    return Polynomial._build(
+        {e: sign * (c.numerator // num_gcd) * (den_lcm // c.denominator) for e, c in p._map.items()}
+    )
 
 
 def rat_equal(a: RationalExpr, b: RationalExpr) -> bool:
@@ -536,24 +565,16 @@ class _Parser:
             raise ParseError(f"expected {op!r}, got {tok[1]!r}")
 
     def parse_expr(self) -> Polynomial:
-        sign = 1
-        tok = self.peek()
-        if tok in (("op", "+"), ("op", "-")):
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        result = self.parse_term()
-        if sign < 0:
-            result = -result
+        # the signed terms are summed once, into one term map
+        signed: list[tuple[Polynomial, Polynomial]] = []
+        sign = _ONE
+        if self.peek() in (("op", "+"), ("op", "-")):
+            sign = _MINUS_ONE if self.take()[1] == "-" else _ONE
         while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                result = result + self.parse_term()
-            elif tok == ("op", "-"):
-                self.take()
-                result = result - self.parse_term()
-            else:
-                return result
+            signed.append((self.parse_term(), sign))
+            if self.peek() not in (("op", "+"), ("op", "-")):
+                return sum_products(signed)
+            sign = _MINUS_ONE if self.take()[1] == "-" else _ONE
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()

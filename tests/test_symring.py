@@ -1,12 +1,13 @@
 """Polynomial arithmetic, signs, rational expressions, parsing, determinants."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from forestsolve import (
     MissingVariableError,
@@ -21,7 +22,8 @@ from forestsolve import (
     rat_equal,
     ratio,
 )
-from forestsolve.symring import minor_table, sum_products
+from forestsolve import symring
+from forestsolve.symring import _term_key, minor_table, poly_sum, ratios, sum_products
 
 from conftest import random_polynomial, zvar
 
@@ -110,6 +112,118 @@ class TestKernelAgainstPublicConstructor:
         for p, q in pairs:
             total = total + p * q
         self._check(sum_products(pairs), dict(total.terms))
+
+
+class TestUnsortedKernel:
+    """The term map is unordered inside; order and Fraction appear only in
+    ``terms``, ``leading`` and printing."""
+
+    @staticmethod
+    def _results(a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        return [p, q, p + q, p - q, -p, p * q, sum_products([(p, q), (q, q)])]
+
+    @given(_TERM_DICTS, _TERM_DICTS)
+    def test_terms_are_the_sorted_term_map(self, a, b):
+        for p in self._results(a, b):
+            assert all(c != 0 for c in p._map.values())
+            expected = sorted(((e, Fraction(c)) for e, c in p._map.items()), key=_term_key)
+            assert list(p.terms) == expected
+            assert all(type(c) is Fraction for _, c in p.terms)
+            if p:
+                assert p.leading() == p.terms[0]
+
+    @given(_TERM_DICTS, _TERM_DICTS)
+    def test_equal_iff_equal_terms(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        for x, y in [(p, q), ((p + q) - q, p), (p * q, q * p), (p - p, Polynomial.zero())]:
+            assert (x == y) == (x.terms == y.terms)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert (p + q) - q == p
+
+    @given(_EXPONENTS, st.integers(-9, 9), st.integers(2, 5))
+    def test_int_and_fraction_coefficients_hash_alike(self, exps, k, d):
+        coeff = Fraction(k, d)
+        assume(coeff.denominator != 1)
+        via_fraction = Polynomial({exps: coeff}) * coeff.denominator
+        whole = Polynomial({exps: coeff.numerator})
+        assert type(via_fraction._map[exps]) is Fraction
+        assert type(whole._map[exps]) is int
+        assert via_fraction == whole and via_fraction.terms == whole.terms
+        assert hash(via_fraction) == hash(whole)
+        assert len({via_fraction, whole}) == 1
+
+    def test_integer_arithmetic_keeps_int_coefficients(self):
+        p = P("3*z1 - 2*z2 + 1") * P("z1 + 4") - P("z2")
+        assert all(type(c) is int for c in p._map.values())
+
+    def test_det_matrix_sorts_nothing_until_terms_are_read(self, monkeypatch):
+        rng = random.Random(11)
+        rows = [
+            [
+                Polynomial({((f"z{rng.randint(1, 5)}", 1),): rng.choice([-3, -2, -1, 1, 2, 3])})
+                for _ in range(5)
+            ]
+            for _ in range(5)
+        ]
+        calls = 0
+
+        def counting_key(term):
+            nonlocal calls
+            calls += 1
+            return _term_key(term)
+
+        monkeypatch.setattr(symring, "_term_key", counting_key)
+        det = det_matrix(rows)
+        assert len(det._map) > 20
+        assert calls == 0
+        text = str(det)
+        assert calls == len(det._map)
+        assert det.terms and str(det) == text
+        assert calls == len(det._map)  # the sorted view is kept
+
+    @given(_TERM_DICTS, st.lists(st.fractions(-4, 4, max_denominator=5), min_size=3, max_size=3))
+    def test_evaluate_matches_termwise_fractions(self, a, values):
+        p = Polynomial(a)
+        point = dict(zip(("z1", "z2", "z3"), values))
+        expected = Fraction(0)
+        for exps, c in p.terms:
+            term = c
+            for name, e in exps:
+                term *= point[name] ** e
+            expected += term
+        assert p.evaluate(point) == expected
+
+    @given(st.lists(_TERM_DICTS, min_size=1, max_size=4), _TERM_DICTS)
+    def test_ratios_remove_only_monomial_and_content(self, nums, den):
+        nums, den = [Polynomial(n) for n in nums], Polynomial(den)
+        assume(den)
+        for num, r in zip(nums, ratios(nums, den)):
+            assert r == ratio(num, den)
+            assert str(r) == str(ratio(num, den))
+            if not num:
+                assert r.numerator == 0 and r.denominator == 1
+                continue
+            # (num, den) is (r.num, r.den) times one term k
+            (de, dc), (re_, rc) = den.leading(), r.denominator.leading()
+            k = Polynomial({tuple(sorted((Counter(dict(de)) - Counter(dict(re_))).items())): dc / rc})
+            assert den == r.denominator * k and num == r.numerator * k
+            # and that term is as large as it can be
+            assert rc > 0
+            both = r.numerator.terms + r.denominator.terms
+            assert all(c.denominator == 1 for _, c in both)
+            assert math.gcd(*(c.numerator for _, c in both)) == 1
+            assert set.intersection(*(set(dict(e)) for e, _ in both)) == set()
+
+    def test_poly_sum_is_the_sum(self):
+        rng = random.Random(12)
+        polys = [random_polynomial(rng) for _ in range(8)]
+        total = Polynomial.zero()
+        for p in polys:
+            total = total + p
+        assert poly_sum(polys) == total
+        assert poly_sum([]) == 0
 
 
 class TestSign:
