@@ -235,12 +235,17 @@ def _row_reduce(
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        # only the pivot row's nonzero entries are scaled and eliminated with
+        nonzero = [c for c, v in enumerate(prow) if v]
+        pv = prow[col]
+        for c in nonzero:
+            prow[c] /= pv
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                for c in nonzero:
+                    row[c] -= f * prow[c]
         pivots.append(col)
     return rows, pivots
 
@@ -414,7 +419,8 @@ def validate_dropped_rows(
     The dropped equilibrium rows must lie in the rational row span of its
     rows (with constants).  Checked at ``_DROP_TRIALS`` random positive
     instantiations of all symbols, drawn from a fixed seed; a pragmatic
-    surrogate for symbolic dependence.
+    surrogate for symbolic dependence.  The retained rows are reduced once per
+    point; a dropped row is independent iff its residual against them is nonzero.
     """
     unknowns = list(task.solve_for)
     odes = mass_action_odes(net)
@@ -438,11 +444,14 @@ def validate_dropped_rows(
     problems = []
     for _ in range(_DROP_TRIALS):
         point = {name: Fraction(rng.randint(1, 1000), rng.randint(1, 50)) for name in sorted(symbols)}
-        base = [[p.evaluate(point) for p in row] for row in retained]
-        r0 = len(_row_reduce(base)[1])
+        echelon, pivots = _row_reduce([p.evaluate(point) for p in row] for row in retained)
         for s, row in dropped_rows:
-            vals = [p.evaluate(point) for p in row]
-            if len(_row_reduce(base + [vals])[1]) > r0:
+            residual = [p.evaluate(point) for p in row]
+            for erow, col in zip(echelon, pivots):
+                f = residual[col]
+                if f:
+                    residual = [a - f * b for a, b in zip(residual, erow)]
+            if any(residual):
                 problems.append(
                     f"dropped row {s} is independent of the retained rows"
                 )

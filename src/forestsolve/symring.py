@@ -5,8 +5,9 @@ order while it is computed with.  Coefficients are ``int`` where integer
 arithmetic made them, and ``Fraction`` where a non-integral one took part.
 Equality compares the maps, so polynomial identity testing is fully
 reliable.  Order is observed only through :attr:`Polynomial.terms`,
-:meth:`Polynomial.leading` and printing, which share one sort, made on first
-use and kept; ``terms`` and ``leading`` show coefficients as ``Fraction``.
+:meth:`Polynomial.leading` and printing; the sort they share and the printed
+form are each made once, on first use, and kept.  ``terms`` and ``leading``
+show coefficients as ``Fraction``.
 The public constructor validates outside input; arithmetic results are built
 without re-validation.  Rational expressions are reduced for display and
 evaluation only; they have no arithmetic.  Every sum, plain or of products,
@@ -76,7 +77,7 @@ def _term_key(term: tuple[Exponents, Fraction]) -> tuple:
 class Polynomial:
     """Immutable multivariate polynomial over the rationals."""
 
-    __slots__ = ("_map", "_order")
+    __slots__ = ("_map", "_order", "_text")
 
     def __init__(self, terms: Mapping[Exponents, int | Fraction] | None = None):
         clean: dict[Exponents, int | Fraction] = {}
@@ -92,7 +93,7 @@ class Polynomial:
                         raise ValueError(f"bad variable name {name!r}")
                 clean[exps] = coeff.numerator if coeff.denominator == 1 else coeff
         self._map = clean
-        self._order = None
+        self._order = self._text = None
 
     @staticmethod
     def _build(terms: dict[Exponents, int | Fraction]) -> "Polynomial":
@@ -101,7 +102,7 @@ class Polynomial:
         :meth:`__init__` does."""
         p = object.__new__(Polynomial)
         p._map = terms
-        p._order = None
+        p._order = p._text = None
         return p
 
     # -- constructors -------------------------------------------------------
@@ -253,6 +254,11 @@ class Polynomial:
         return Fraction(num, den)
 
     def __str__(self) -> str:
+        if self._text is None:  # formatted once and kept, like the sort
+            self._text = self._format()
+        return self._text
+
+    def _format(self) -> str:
         if not self._map:
             return "0"
         parts: list[str] = []

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from forestsolve import (
     BlockStructure,
@@ -24,6 +25,7 @@ from forestsolve import (
     ratio,
     residual_check,
 )
+from forestsolve import crn
 from forestsolve.crn import validate_dropped_rows
 from forestsolve.linsys import Solution
 from forestsolve.symring import det_matrix
@@ -219,6 +221,125 @@ class TestDroppedRows:
         system, _ = build_steady_system(net, bad)
         problems = validate_dropped_rows(net, bad, system)
         assert problems and "independent" in problems[0]
+
+
+def _dense_row_reduce(rows):
+    """Reference elimination: every entry of the pivot row is scaled and every
+    entry of each other row is eliminated, zeros included."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+@st.composite
+def _sparse_matrices(draw):
+    cols = draw(st.integers(1, 5))
+    zero = st.just(Fraction(0))
+    entry = st.one_of(zero, zero, st.fractions(-6, 6, max_denominator=4))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=7))
+
+
+def _reference_dropped_rows(net, task, system):
+    """Verdicts by rank: at each sampled point, a dropped row is independent
+    iff appending it to the retained rows raises the rank of the augmented
+    matrix, both reduced from scratch by dense elimination."""
+    unknowns = list(task.solve_for)
+    odes = mass_action_odes(net)
+    dropped = []
+    for s in task.drop:
+        coeffs, constant = crn._linear_row(odes[s - 1], unknowns)
+        dropped.append((s, coeffs + [constant]))
+    retained = [list(system.a[r]) + [system.b[r]] for r in range(system.m)]
+    symbols = sorted({v for row in retained + [r for _, r in dropped] for p in row for v in p.variables()})
+    rng = random.Random(crn._DROP_SEED)
+    problems = []
+    for _ in range(crn._DROP_TRIALS):
+        point = {name: Fraction(rng.randint(1, 1000), rng.randint(1, 50)) for name in symbols}
+        base = [[p.evaluate(point) for p in row] for row in retained]
+        rank = len(_dense_row_reduce(base)[1])
+        for s, row in dropped:
+            if len(_dense_row_reduce(base + [[p.evaluate(point) for p in row]])[1]) > rank:
+                problems.append(f"dropped row {s} is independent of the retained rows")
+        if problems:
+            break
+    return problems
+
+
+def _random_linear_network(rng):
+    """Unknowns X1..X3 and parameters P1..Pp, whose rows are dropped.
+
+    Reactions are A -> B between any two species, and P + Xi -> P + Xj.  A
+    draw without inflow or outflow conserves the sum of all species, so with
+    one parameter its row is planted dependent (minus the sum of the others);
+    a parameter in no A -> B reaction has a zero row.
+    """
+    p = rng.randint(1, 2)
+    unknowns = ["X1", "X2", "X3"]
+    params = [f"P{i}" for i in range(1, p + 1)]
+    species = unknowns + params
+    lines = ["species: " + ", ".join(species)]
+    for k in range(rng.randint(2, 6)):
+        if rng.random() < 0.3:
+            a, b = rng.sample(unknowns, 2)
+            lines.append(f"{rng.choice(params)} + {a} -> {rng.choice(params)} + {b} ; c{k}")
+        else:
+            a, b = rng.sample(species, 2)
+            lines.append(f"{a} -> {b} ; k{k}")
+    open_system = rng.random() < 0.4
+    if open_system:
+        lines.append(f"0 -> {rng.choice(species)} ; u")
+    task = SteadyStateTask(
+        solve_for=tuple(unknowns), parameters=tuple(params), drop=tuple(range(4, 4 + p))
+    )
+    return parse_network("\n".join(lines) + "\n"), task, p == 1 and not open_system
+
+
+class TestRowReduce:
+    @given(_sparse_matrices(), st.data())
+    def test_sparse_elimination_matches_dense(self, rows, data):
+        cols, zero = len(rows[0]), Fraction(0)
+        k = data.draw(st.integers(0, cols))
+        copy = [list(row) for row in rows]
+        variants = [
+            rows,
+            rows[:k] + [[zero] * cols] + rows[k:],  # a zero row
+            [row[:k] + [zero] + row[k:] for row in rows],  # a zero column
+            rows + [[v * (i + 2) for v in rows[i % len(rows)]] for i in range(cols + 1)],
+        ]
+        assert len(variants[-1]) > cols
+        for matrix in variants:
+            got, expected = crn._row_reduce(matrix), _dense_row_reduce(matrix)
+            assert got == expected
+            assert [list(map(type, row)) for row in got[0]] == [
+                list(map(type, row)) for row in expected[0]
+            ]
+        assert rows == copy  # the input rows are not modified
+        assert crn._row_reduce([]) == ([], [])
+
+    def test_dropped_rows_match_rank_reference(self):
+        verdicts = []
+        for seed in range(80):
+            net, task, planted_dependent = _random_linear_network(random.Random(seed))
+            system, _ = build_steady_system(net, task)
+            problems = validate_dropped_rows(net, task, system)
+            assert problems == _reference_dropped_rows(net, task, system), seed
+            if planted_dependent:
+                assert problems == [], seed
+            verdicts.append(bool(problems))
+        assert 10 <= verdicts.count(True) and 10 <= verdicts.count(False)
 
 
 class TestParameterize:

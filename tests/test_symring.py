@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from forestsolve import (
+    BlockStructure,
     MissingVariableError,
     ParseError,
     Polynomial,
@@ -17,6 +18,7 @@ from forestsolve import (
     det_matrix,
     is_nonneg,
     monomial_split,
+    parameterize,
     parse_poly,
     poly_sign,
     rat_equal,
@@ -25,7 +27,7 @@ from forestsolve import (
 from forestsolve import symring
 from forestsolve.symring import _term_key, minor_table, poly_sum, ratios, sum_products
 
-from conftest import random_polynomial, zvar
+from conftest import nsite_network_and_task, random_polynomial, zvar
 
 P = parse_poly
 C = Polynomial.constant
@@ -224,6 +226,45 @@ class TestUnsortedKernel:
             total = total + p
         assert poly_sum(polys) == total
         assert poly_sum([]) == 0
+
+    @given(_TERM_DICTS, _TERM_DICTS)
+    def test_printed_form_is_kept_and_canonical(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        built = [p, q, Polynomial._build(dict(p._map)), -p, sum_products([(p, q), (q, q)]), p - p]
+        if q:
+            built += [x for r in ratios([p, q], q) for x in (r.numerator, r.denominator)]
+        built += [Polynomial.zero(), Polynomial.one(), symring._ZERO, symring._ONE]
+        for x in built:
+            text = str(x)
+            assert str(x) is text  # kept, not formatted again
+            assert len(x.terms) == len(x._map) and str(x) is text  # sorted after
+            # an equal polynomial built separately, and printed before sorting
+            assert str(Polynomial(dict(x.terms))) == text
+            assert str(Polynomial._build(dict(x._map))) == text
+        assert str(Polynomial.zero()) == str(Polynomial()) == "0"
+        assert str(Polynomial.one()) == str(Polynomial({(): 1})) == "1"
+
+    def test_shared_denominator_is_formatted_once(self, monkeypatch):
+        n = 3
+        net, task = nsite_network_and_task(n)
+        report = parameterize(net, task, blocks=BlockStructure((n + 1, n + 1), 0, (1, n + 2)))
+        components = list(report.solution.values())
+        (den,) = {id(c.denominator): c.denominator for c in components}.values()
+        assert len(components) == 8 and den != 1
+        formatted = Counter()
+        original = Polynomial._format
+
+        def counting_format(poly):
+            formatted[id(poly)] += 1
+            return original(poly)
+
+        monkeypatch.setattr(Polynomial, "_format", counting_format)
+        texts = [str(c) for c in components]
+        assert formatted[id(den)] == 1
+        assert set(formatted.values()) == {1}
+        assert len(formatted) == len(components) + 1  # the numerators and D
+        assert [str(c) for c in components] == texts
+        assert sum(formatted.values()) == len(components) + 1
 
 
 class TestSign:
