@@ -12,6 +12,7 @@ import itertools
 import random
 
 from forestsolve import (
+    ForestSums,
     all_minors_check,
     enumerate_forests,
     forest_label,
@@ -19,7 +20,6 @@ from forestsolve import (
     laplacian_of,
     upsilon_signed,
 )
-from forestsolve.forests import minor_det
 from forestsolve.multigraph import random_multidigraph
 
 rng = random.Random(2024)
@@ -42,7 +42,7 @@ for forest in enumerate_forests(graph, f_set, b_set):
         "inversions", inversion_count(forest, f_set),
     )
 print("signed forest sum:", upsilon_signed(graph, f_set, b_set))
-print("matrix minor:     ", minor_det(lap, f_set, b_set))
+print("matrix minor:     ", ForestSums(lap, f_set).signed_minor(dict(zip(f_set, b_set)))[1])
 print("identity holds:   ", all_minors_check(graph, f_set, b_set))
 
 # 2. A randomized sweep across graphs and all small (F, B) pairs.

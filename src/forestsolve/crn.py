@@ -370,7 +370,9 @@ def propose_blocks(system: LinearSystem) -> BlockStructure:
 
     Grows each block until its rows' support closes; rows reaching back into
     earlier columns, or blocks with two nonzero constants, end the scan and
-    everything from there on becomes the tail.
+    everything from there on becomes the tail.  A block may close at row m,
+    leaving an empty tail, once another block precedes it; a block that would
+    span every row ends the scan, so such a system gets no blocks.
     """
     m = system.m
     sizes: list[int] = []
@@ -392,8 +394,8 @@ def propose_blocks(system: LinearSystem) -> BlockStructure:
             if new_end == end:
                 break
             end = new_end
-        if end > m or end == m:
-            break  # tail absorbs the rest (a block must leave a nonempty tail)
+        if end > m or (end == m and not sizes):
+            break  # tail absorbs the rest
         nonzero_b = [
             r for r in range(start, end + 1) if not system.b[r - 1].is_zero()
         ]

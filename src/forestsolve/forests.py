@@ -192,12 +192,6 @@ def _kept(size: int, drop: Iterable[int]) -> tuple[int, ...]:
     return tuple(i for i in range(size) if i + 1 not in drop)
 
 
-def minor_det(lap: Laplacian, drop_rows: Iterable[int], drop_cols: Iterable[int]) -> Polynomial:
-    """Determinant of the Laplacian with the given rows/columns removed (1-based)."""
-    rows = [lap.rows[i] for i in _kept(lap.size, drop_rows)]
-    return minor_table(rows)(_kept(lap.size, drop_cols))
-
-
 class ForestSums:
     """Forest sums with forced root assignments out of one node set F.
 

@@ -22,7 +22,7 @@ from .multigraph import Laplacian, Multidigraph, canonical_graph, json_list
 from .symring import (
     Polynomial,
     RationalExpr,
-    det_matrix,
+    minor_table,
     parse_poly,
     poly_sum,
     ratios,
@@ -136,17 +136,17 @@ def solve_by_trees(system: LinearSystem) -> Solution:
 
 
 def cramer_oracle(system: LinearSystem) -> Solution:
-    """Independent solver: x_i = det(A with column i replaced by -b) / det(A)."""
+    """Independent solver: x_i = det(A with column i replaced by -b) / det(A).
+
+    Every determinant is a query of one :func:`minor_table` over the rows of
+    (A | -b): D on columns 0..m-1, and N_i on the same columns with column m
+    in position i, so sub-minors that avoid the replaced column are shared.
+    """
     m = system.m
-    a = [list(row) for row in system.a]
-    det_a = det_matrix(a)
-    nums = []
-    for i in range(m):
-        repl = [row[:] for row in a]
-        for r in range(m):
-            repl[r][i] = -system.b[r]
-        nums.append(det_matrix(repl))
-    return Solution(tuple(nums), det_a)
+    minor = minor_table([[*row, -b_r] for row, b_r in zip(system.a, system.b)])
+    cols = tuple(range(m))
+    nums = tuple(minor(cols[:i] + (m,) + cols[i + 1 :]) for i in range(m))
+    return Solution(nums, minor(cols))
 
 
 def residual_check(system: LinearSystem, solution: Solution) -> bool:

@@ -165,6 +165,39 @@ def nsite_network_and_task(n: int):
     return net, task
 
 
+def nsite_crn_param_argv(path, n: int) -> list[str]:
+    """``crn-param`` arguments for the n-site task, with no block flags;
+    the network text is written to ``path``."""
+    _, task = nsite_network_and_task(n)
+    path.write_text(nsite_text(n))
+    argv = [
+        "crn-param",
+        "--input", str(path),
+        "--solve-for", ",".join(task.solve_for),
+        "--parameters", ",".join(task.parameters),
+    ]
+    for use in task.conservation:
+        argv += ["--conserve", f"{use.law_index}:{use.total}:{use.replaces_row}"]
+    for row in task.drop:
+        argv += ["--drop", str(row)]
+    return argv
+
+
+def nsite_closed_form(n: int, point: dict) -> dict:
+    """Steady state of the n-site network, each enzyme split in proportion:
+    ES_i = a_i S_i E / (b_i + c_i) and E + sum ES_i = Etot, so
+    E = Etot / (1 + sum a_i S_i / (b_i + c_i)); likewise F and FS_i."""
+    p = point
+    es = {f"ES{i}": p[f"a{i}"] * p[f"S{i}"] / (p[f"b{i}"] + p[f"c{i}"]) for i in range(n)}
+    fs = {
+        f"FS{i}": p[f"d{i}"] * p[f"S{i}"] / (p[f"e{i}"] + p[f"f{i}"])
+        for i in range(1, n + 1)
+    }
+    e = p["Etot"] / (1 + sum(es.values()))
+    f = p["Ftot"] / (1 + sum(fs.values()))
+    return {"E": e, "F": f, **{k: v * e for k, v in es.items()}, **{k: v * f for k, v in fs.items()}}
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 

@@ -410,9 +410,10 @@ class TestCertification:
             assert laplacian_of(graph) == lap
 
     def test_refusal_tries_one_realization(self, monkeypatch):
-        # the proposed blocks of the n = 2 n-site system refuse; the
+        # one 3-row block and a 3-row tail refuse the n = 2 n-site system; the
         # certificate search sees the column-sum realization and nothing else
-        system, blocks = build_steady_system(*nsite_network_and_task(2))
+        system, _ = build_steady_system(*nsite_network_and_task(2))
+        blocks = BlockStructure((3,), 3, (1,))
         seen = []
 
         def search(lap):

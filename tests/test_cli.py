@@ -1,8 +1,10 @@
 """Command-line behaviour: payloads, exit codes, determinism."""
 
 import json
+import random
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,17 @@ from forestsolve import (
     forests,
     linsys,
     parameterize,
+    parse_poly,
     pgraph,
     system_to_json,
 )
 
-from conftest import CRN_TEXT, nsite_network_and_task
+from conftest import (
+    CRN_TEXT,
+    nsite_closed_form,
+    nsite_crn_param_argv,
+    nsite_network_and_task,
+)
 
 
 @pytest.fixture
@@ -223,6 +231,25 @@ class TestCrnParam:
         assert payload["certified"] is True
         assert set(payload["solution"]) == {"x1", "x2", "x3", "x4", "x6"}
         assert payload["zero_components"] == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nsite_certifies_without_block_flags(self, capsys, tmp_path, n):
+        code, out, _ = run(capsys, nsite_crn_param_argv(tmp_path / "nsite.txt", n))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certified"] is True
+        rng = random.Random(n)
+        names = [f"{k}{i}" for k in "abc" for i in range(n)]
+        names += [f"{k}{i}" for k in "def" for i in range(1, n + 1)]
+        names += [f"S{i}" for i in range(n + 1)] + ["Etot", "Ftot"]
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(1, 30), rng.randint(1, 10)) for v in names}
+            expected = nsite_closed_form(n, point)
+            assert set(payload["solution"]) == set(expected)
+            for name, text in payload["solution"].items():
+                num, _, den = text.removeprefix("(").removesuffix(")").partition(")/(")
+                value = parse_poly(num).evaluate(point) / parse_poly(den or "1").evaluate(point)
+                assert value == expected[name]
 
 
 class TestGraphDot:

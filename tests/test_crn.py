@@ -30,7 +30,7 @@ from forestsolve.crn import validate_dropped_rows
 from forestsolve.linsys import Solution
 from forestsolve.symring import det_matrix
 
-from conftest import nsite_network_and_task, over_common_denominator
+from conftest import nsite_closed_form, nsite_network_and_task, over_common_denominator
 
 P = parse_poly
 
@@ -174,6 +174,15 @@ class TestBuildSystem:
         assert [str(p) for p in system.a[2]] == ["0", "z3", "-z4"]
         assert [str(p) for p in system.b] == ["0", "-z1", "z5"]
         assert blocks == BlockStructure((2,), 1, (2,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_nsite_proposal_ends_a_block_at_the_last_row(self, n):
+        # the F-block ends at row m after the E-block: no tail is left
+        _, blocks = build_steady_system(*nsite_network_and_task(n))
+        assert blocks == BlockStructure((n + 1, n + 1), 0, (1, n + 2))
+
+    def test_block_spanning_every_row_is_not_proposed(self, three_var_system):
+        assert propose_blocks(three_var_system) == BlockStructure((), 3, ())
 
     def test_single_species_conservation(self):
         net = parse_network("A <-> A2 ; k1, k2")
@@ -433,21 +442,6 @@ class TestParameterize:
         assert "A" in str(err.value)
 
 
-def _nsite_closed_form(n: int, point: dict) -> dict:
-    """Steady state of the n-site network, each enzyme split in proportion:
-    ES_i = a_i S_i E / (b_i + c_i) and E + sum ES_i = Etot, so
-    E = Etot / (1 + sum a_i S_i / (b_i + c_i)); likewise F and FS_i."""
-    p = point
-    es = {f"ES{i}": p[f"a{i}"] * p[f"S{i}"] / (p[f"b{i}"] + p[f"c{i}"]) for i in range(n)}
-    fs = {
-        f"FS{i}": p[f"d{i}"] * p[f"S{i}"] / (p[f"e{i}"] + p[f"f{i}"])
-        for i in range(1, n + 1)
-    }
-    e = p["Etot"] / (1 + sum(es.values()))
-    f = p["Ftot"] / (1 + sum(fs.values()))
-    return {"E": e, "F": f, **{k: v * e for k, v in es.items()}, **{k: v * f for k, v in fs.items()}}
-
-
 class TestNSite:
     def test_n5_parameterization_matches_closed_form(self):
         n = 5
@@ -465,7 +459,7 @@ class TestNSite:
         rng = random.Random(5)
         for _ in range(2):
             point = {v: Fraction(rng.randint(1, 30), rng.randint(1, 10)) for v in names}
-            expected = _nsite_closed_form(n, point)
+            expected = nsite_closed_form(n, point)
             assert set(expected) == set(task.solve_for)
             for name in task.solve_for:
                 assert report.solution[name].evaluate(point) == expected[name]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from forestsolve import (
+    ForestSums,
     Polynomial,
     all_minors_check,
     bordered_laplacian,
@@ -21,7 +22,6 @@ from forestsolve import (
     upsilon_rooted,
     upsilon_signed,
 )
-from forestsolve.forests import minor_det
 from forestsolve.multigraph import Multidigraph, random_multidigraph
 from forestsolve.symring import det_matrix
 
@@ -129,7 +129,10 @@ class TestMinorIdentity:
     def test_full_sets_give_empty_minor(self, golden_graph):
         assert all_minors_check(golden_graph, (1, 2, 3, 4), (1, 2, 3, 4))
         lap = laplacian_of(golden_graph)
-        assert minor_det(lap, (1, 2, 3, 4), (1, 2, 3, 4)) == Polynomial.one()
+        nodes = (1, 2, 3, 4)
+        assert ForestSums(lap, nodes).signed_minor(dict(zip(nodes, nodes))) == (
+            1, Polynomial.one()
+        )
 
     def test_random_suite(self):
         rng = random.Random(23)

@@ -5,9 +5,9 @@
 ``five_var_system`` fixtures: the JSON payloads, the printed components, and
 the drawn graphs (the column-sum realization for ``block-solve``, the
 certificate graph for ``block-certify``).  ``nsite2.<command>.json`` pins two
-refusals on the n-site network at n = 2: ``block-certify`` on its steady-state
-system without a ``"blocks"`` key, and ``crn-param`` on the network, both of
-which use the proposed blocks ``sizes=(3,), m0=3``.
+certificates on the n-site network at n = 2: ``block-certify`` on its
+steady-state system without a ``"blocks"`` key, and ``crn-param`` on the
+network, both of which use the proposed blocks ``sizes=(3, 3), m0=0``.
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 
 from forestsolve import build_steady_system, cli, system_to_json
 
-from conftest import nsite_network_and_task, nsite_text
+from conftest import nsite_crn_param_argv, nsite_network_and_task
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -49,29 +49,17 @@ def test_block_output_matches_golden(
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.{command}.{suffix}").read_text()
 
 
-def nsite_refusal_argv(tmp_path, command: str) -> list[str]:
+def nsite2_argv(tmp_path, command: str) -> list[str]:
     """Argument list of ``command`` on the n = 2 n-site network, no blocks given."""
-    net, task = nsite_network_and_task(2)
     if command == "block-certify":
         path = tmp_path / "nsite2.json"
-        path.write_text(json.dumps(system_to_json(build_steady_system(net, task)[0])))
+        system = build_steady_system(*nsite_network_and_task(2))[0]
+        path.write_text(json.dumps(system_to_json(system)))
         return [command, "--input", str(path)]
-    path = tmp_path / "nsite2.txt"
-    path.write_text(nsite_text(2))
-    argv = [
-        command,
-        "--input", str(path),
-        "--solve-for", ",".join(task.solve_for),
-        "--parameters", ",".join(task.parameters),
-    ]
-    for use in task.conservation:
-        argv += ["--conserve", f"{use.law_index}:{use.total}:{use.replaces_row}"]
-    for row in task.drop:
-        argv += ["--drop", str(row)]
-    return argv
+    return nsite_crn_param_argv(tmp_path / "nsite2.txt", 2)
 
 
 @pytest.mark.parametrize("command", ["block-certify", "crn-param"])
-def test_refusal_matches_golden(tmp_path, capsys, command):
-    assert cli.main(nsite_refusal_argv(tmp_path, command)) == 1
+def test_nsite2_matches_golden(tmp_path, capsys, command):
+    assert cli.main(nsite2_argv(tmp_path, command)) == 0
     assert capsys.readouterr().out == (GOLDEN / f"nsite2.{command}.json").read_text()

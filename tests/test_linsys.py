@@ -26,6 +26,7 @@ from forestsolve import (
     system_to_json,
     upsilon_rooted,
 )
+from forestsolve import symring
 from forestsolve.symring import det_matrix
 
 from conftest import ZERO, C, random_block_system, random_int_system, zvar
@@ -139,6 +140,37 @@ class TestSolveByTrees:
             assert det_a == expected
 
 
+def per_column_cramer(system: LinearSystem) -> Solution:
+    """Cramer's rule one determinant at a time: column i of A replaced by -b."""
+    a = [list(row) for row in system.a]
+    nums = []
+    for i in range(system.m):
+        repl = [row[:] for row in a]
+        for r in range(system.m):
+            repl[r][i] = -system.b[r]
+        nums.append(det_matrix(repl))
+    return Solution(tuple(nums), det_matrix(a))
+
+
+_ENTRIES = [ZERO, ZERO, C(1), C(-2), C(3), zvar(1), -zvar(2), P("z1 + z3"), P("2*z2 - z1")]
+
+
+@st.composite
+def small_systems(draw) -> LinearSystem:
+    """Systems of 1..4 variables; some have a zero column or a repeated row."""
+    m = draw(st.integers(1, 4))
+    entry = st.sampled_from(_ENTRIES)
+    a = [[draw(entry) for _ in range(m)] for _ in range(m)]
+    b = [draw(entry) for _ in range(m)]
+    zero_col = draw(st.none() | st.integers(0, m - 1))
+    if zero_col is not None:
+        for row in a:
+            row[zero_col] = ZERO
+    if m > 1 and draw(st.booleans()):
+        a[-1] = list(a[0])
+    return LinearSystem.build([f"x{i}" for i in range(1, m + 1)], a, b)
+
+
 class TestCramerOracle:
     def test_golden(self, three_var_system):
         solution = cramer_oracle(three_var_system)
@@ -160,6 +192,37 @@ class TestCramerOracle:
         )
         with pytest.raises(SingularSystemError):
             cramer_oracle(system)
+
+    @settings(deadline=None, max_examples=150)
+    @given(small_systems())
+    def test_matches_per_column_determinants(self, system):
+        try:
+            expected = per_column_cramer(system)
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                cramer_oracle(system)
+            return
+        got = cramer_oracle(system)
+        assert got.numerators == expected.numerators
+        assert got.denominator == expected.denominator
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_builds_one_minor_table(self, monkeypatch, m):
+        built = []
+
+        class CountingTable(symring._MinorTable):
+            def __init__(self, rows):
+                built.append(len(rows))
+                super().__init__(rows)
+
+        monkeypatch.setattr(symring, "_MinorTable", CountingTable)
+        system = LinearSystem.build(
+            [f"x{i}" for i in range(1, m + 1)],
+            [[zvar(r + 1) if r == c else C(1) for c in range(m)] for r in range(m)],
+            [C(-1)] * m,
+        )
+        cramer_oracle(system)
+        assert built == [m]
 
 
 class TestResidual:
