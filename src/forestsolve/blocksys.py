@@ -17,7 +17,8 @@ enumeration is the reference that the tests compare against.  Under sign
 hypotheses on the distinguished rows and a reachability condition on
 negative edges, every component is certified a quotient of
 coefficientwise-nonnegative polynomials; a realization with no certificate
-is refused.
+is refused.  A plain system is the case d = 0, so this is also how
+:func:`pgraph.certify_nonneg` certifies.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from typing import Sequence
 
 from .forests import ForestSums
 from .linsys import LinearSystem, Solution
-from .multigraph import (
-    Laplacian,
-    Multidigraph,
-    canonical_graph,
-    laplacian_of,
-    reaches_avoiding,
-)
+from .multigraph import Laplacian, Multidigraph, reachable_avoiding
 from .pgraph import PGraphWitness, find_pgraph, is_pgraph
 from .symring import (
     Polynomial,
@@ -165,35 +160,28 @@ def validate_block_form(system: LinearSystem, blocks: BlockStructure) -> list[st
 
 
 def validate_acompatible(
-    graph: Multidigraph, blocks: BlockStructure, system: LinearSystem
+    lap: Laplacian, blocks: BlockStructure, system: LinearSystem
 ) -> list[str]:
     """Check the two compatibility conditions against the original system.
 
-    No edge may leave one block for a different block (the tail may only be
-    entered, never left toward a block), and every non-distinguished row of
-    the graph's matrix must equal the corresponding row of (A | b).
+    No edge of a graph realizing ``lap`` may leave one block for a different
+    block (the tail may only be entered, never left toward a block): every
+    entry (i, j) with i in a block and j outside it is zero.  Every
+    non-distinguished row of ``lap`` must equal the corresponding row of
+    (A | b).
     """
     problems: list[str] = []
-    for e in sorted(graph.edges, key=lambda e: e.eid):
-        bs, bt = blocks.block_of(e.source), blocks.block_of(e.target)
-        if bt >= 1 and bs != bt:
-            problems.append(
-                f"edge {e.eid} crosses from block {bs} into block {bt}"
-            )
-    lap = laplacian_of(graph)
+    home = {n: blocks.block_of(n) for n in range(1, lap.size + 1)}
+    for j, i in itertools.product(home, repeat=2):
+        bs, bt = home[j], home[i]
+        if bt >= 1 and bs != bt and not lap.entry(i, j).is_zero():
+            problems.append(f"entry ({i}, {j}) crosses from block {bs} into block {bt}")
     if lap.size != system.m + 1:
-        problems.append("graph size does not match the system")
+        problems.append("matrix size does not match the system")
         return problems
     for r in range(1, system.m + 1):
-        if r in blocks.j:
-            continue
-        for c in range(1, system.m + 1):
-            if lap.entry(r, c) != system.a[r - 1][c - 1]:
-                problems.append(f"row {r} disagrees with the system at column {c}")
-                break
-        else:
-            if lap.entry(r, system.m + 1) != system.b[r - 1]:
-                problems.append(f"row {r} disagrees with the constant vector")
+        if r not in blocks.j and lap.rows[r - 1] != (*system.a[r - 1], system.b[r - 1]):
+            problems.append(f"row {r} disagrees with (A | b)")
     return problems
 
 
@@ -206,11 +194,12 @@ def realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
     ones, which minimizes negative entries off the diagonal.  The last row
     then makes every column sum to zero, so it takes what the distinguished
     row left.  A distinguished row is filled only inside its own block, so
-    no edge enters a block from outside; that confinement is asserted here,
-    once for every caller, and a failure is an internal fault.
-    :func:`find_pgraph` puts edges only on nonzero entries, so the
-    certificate graph it builds on this matrix has the same arcs and rows,
-    and the one check covers it too.
+    no edge enters a block from outside; that confinement is asserted here
+    on the matrix's zero pattern, once for every caller, and a failure is an
+    internal fault.  :func:`find_pgraph` puts edges only on nonzero entries,
+    so the certificate graph it builds on this matrix has the same arcs and
+    rows, and the one check covers it too.  With no blocks this is
+    :func:`linsys.bordered_laplacian`.
     """
     problems = validate_block_form(system, blocks)
     if problems:
@@ -229,7 +218,7 @@ def realization(system: LinearSystem, blocks: BlockStructure) -> Laplacian:
                 rows[jk - 1][col - 1] = poly_sum(mono for mono in monomial_split(rest) if keep(mono))
     rows.append([-poly_sum(row[c] for row in rows) for c in range(m + 1)])
     lap = Laplacian(rows)
-    problems = validate_acompatible(canonical_graph(lap), blocks, system)
+    problems = validate_acompatible(lap, blocks, system)
     if problems:
         raise AssertionError("realization is not block-confined: " + "; ".join(problems))
     return lap
@@ -300,28 +289,27 @@ def _solve_realization(
 
 def check_condition_star(
     graph: Multidigraph, blocks: BlockStructure
-) -> tuple[bool, tuple[int, int, int] | None]:
-    """Negative edges must be unreachable between distinguished rows and variables.
+) -> tuple[bool, tuple[int, int] | None]:
+    """Negative edges must be unreachable from the distinguished rows.
 
-    Fails when some distinguished row reaches the source of a negative edge
-    and its target reaches some variable node, all avoiding the bordering
-    node; returns the witnessing (block index, variable, edge id).
+    Fails when, in G - (m+1), some distinguished row reaches the source of a
+    negative edge that avoids m+1; returns the witnessing (block index, edge
+    id) of the first such edge by id.  One forward search per row decides it;
+    with no distinguished rows (d = 0) it holds without a look at the edges.
     """
+    if not blocks.j:
+        return True, None
     last = blocks.m + 1
+    reached = [reachable_avoiding(graph, (jk,), last) for jk in blocks.j]
     for e in sorted(graph.edges, key=lambda e: e.eid):
         sign = poly_sign(e.label)
         if sign == Sign.MIXED:
             raise ValueError(f"edge {e.eid} has a mixed-sign label")
-        if sign != Sign.NONPOS:
+        if sign != Sign.NONPOS or last in (e.source, e.target):
             continue
-        if e.source == last or e.target == last:
-            continue
-        for i in range(1, blocks.d + 1):
-            if not reaches_avoiding(graph, blocks.j[i - 1], e.source, last):
-                continue
-            for ell in range(1, blocks.m + 1):
-                if reaches_avoiding(graph, e.target, ell, last):
-                    return False, (i, ell, e.eid)
+        for i, nodes in enumerate(reached, start=1):
+            if e.source in nodes:
+                return False, (i, e.eid)
     return True, None
 
 
@@ -330,23 +318,19 @@ def zero_components(
 ) -> frozenset[int]:
     """Variables in leading blocks forced to zero by a reachable negative edge.
 
-    A block variable that reaches the source of a negative edge without
-    touching the bordering node has a vanishing solution component.
+    A block variable that reaches, in G - (m+1), the source of a negative
+    edge avoiding m+1 has a vanishing solution component; one reverse search
+    from those sources finds them all.  Other components may vanish too.
     """
     graph = witness.graph
     last = blocks.m + 1
     neg_sources = {
         e.source
         for e in graph.edges
-        if poly_sign(e.label) == Sign.NONPOS
-        and e.source != last
-        and e.target != last
+        if poly_sign(e.label) == Sign.NONPOS and last not in (e.source, e.target)
     }
-    out = set()
-    for ell in range(1, blocks.m - blocks.m0 + 1):
-        if any(reaches_avoiding(graph, ell, s, last) for s in sorted(neg_sources)):
-            out.add(ell)
-    return frozenset(out)
+    reaching = reachable_avoiding(graph, neg_sources, last, reverse=True)
+    return frozenset(n for n in reaching if n <= blocks.m - blocks.m0)
 
 
 def certify_block_nonneg(

@@ -162,8 +162,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     outcome = pgraph.certify_nonneg(linsys.system_from_json(_load_json(args)))
-    if outcome is None:
-        log.info("no certificate graph at monomial granularity")
     return _report_certified(args, outcome)
 
 

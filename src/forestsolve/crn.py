@@ -307,13 +307,14 @@ def _linear_row(
 
 
 def build_steady_system(
-    net: Network, task: SteadyStateTask
+    net: Network, task: SteadyStateTask, odes: Sequence[Polynomial]
 ) -> tuple[LinearSystem, BlockStructure]:
     """Square steady-state system in the chosen unknowns, plus a block proposal.
 
     Rows follow species order: each kept species row is its equilibrium
     equation, conservation substitutions replace their rows, and dropped rows
-    are removed.  Every species must be an unknown or a parameter.
+    are removed.  Every species must be an unknown or a parameter.  ``odes``
+    are the network's :func:`mass_action_odes`.
     """
     names = set(net.species)
     unknowns = list(task.solve_for)
@@ -336,7 +337,6 @@ def build_steady_system(
                 f"conservation law {use.law_index} does not exist "
                 f"({len(laws)} available)"
             )
-    odes = mass_action_odes(net)
 
     rows: list[list[Polynomial]] = []
     consts: list[Polynomial] = []
@@ -413,11 +413,12 @@ _DROP_SEED = 0
 
 
 def validate_dropped_rows(
-    net: Network, task: SteadyStateTask, system: LinearSystem
+    odes: Sequence[Polynomial], task: SteadyStateTask, system: LinearSystem
 ) -> list[str]:
     """Sanity check that dropped equations are implied by the retained ones.
 
-    ``system`` is the task's steady-state system (:func:`build_steady_system`).
+    ``odes`` are the network's :func:`mass_action_odes` and ``system`` is the
+    task's steady-state system (:func:`build_steady_system`).
     The dropped equilibrium rows must lie in the rational row span of its
     rows (with constants).  Checked at ``_DROP_TRIALS`` random positive
     instantiations of all symbols, drawn from a fixed seed; a pragmatic
@@ -425,7 +426,6 @@ def validate_dropped_rows(
     point; a dropped row is independent iff its residual against them is nonzero.
     """
     unknowns = list(task.solve_for)
-    odes = mass_action_odes(net)
     dropped_rows = []
     for s in task.drop:
         try:
@@ -476,10 +476,11 @@ def parameterize(
     diagnostics.
     """
     diagnostics: list[str] = []
-    system, proposal = build_steady_system(net, task)
+    odes = mass_action_odes(net)
+    system, proposal = build_steady_system(net, task, odes)
     if blocks is None:
         blocks = proposal
-    diagnostics.extend(validate_dropped_rows(net, task, system))
+    diagnostics.extend(validate_dropped_rows(odes, task, system))
     try:
         outcome = certify_block_nonneg(system, blocks)
     except BlockHypothesisError as exc:

@@ -13,7 +13,7 @@ j -> i, and diagonal entries make every column sum to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .symring import Polynomial, Sign, parse_poly, poly_sign, poly_sum, sum_products
 
@@ -223,27 +223,47 @@ def simple_cycles(graph: Multidigraph) -> list[tuple[Edge, ...]]:
     return result
 
 
+def reachable_avoiding(
+    graph: Multidigraph, starts: Iterable[int], avoid: int, reverse: bool = False
+) -> set[int]:
+    """Nodes that some start reaches by a directed path using no node ``avoid``.
+
+    The starts are included.  With ``reverse`` edges are followed backwards,
+    which gives the nodes that reach some start.
+    """
+    return set(_search(graph, starts, avoid, reverse))
+
+
+def _search(
+    graph: Multidigraph, starts: Iterable[int], avoid: int, reverse: bool
+) -> Iterator[int]:
+    """Yield each node of :func:`reachable_avoiding` once, starts first."""
+    seen = set(starts)
+    if avoid in seen:
+        raise ValueError("start nodes must differ from the avoided node")
+    if reverse:
+        back: dict[int, list[int]] = {n: [] for n in graph.nodes}
+        for e in graph.edges:
+            back[e.target].append(e.source)
+        step = back.__getitem__
+    else:
+        def step(u: int) -> list[int]:
+            return [e.target for e in graph.out_edges(u)]
+    todo = list(seen)
+    yield from todo[:]
+    while todo:
+        for v in step(todo.pop()):
+            if v != avoid and v not in seen:
+                seen.add(v)
+                todo.append(v)
+                yield v
+
+
 def reaches_avoiding(graph: Multidigraph, source: int, target: int, avoid: int) -> bool:
     """Whether a directed path source -> target exists using no node ``avoid``."""
     if source == avoid or target == avoid:
         raise ValueError("endpoints must differ from the avoided node")
-    if source == target:
-        return True
-    seen = {source}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for e in graph.out_edges(u):
-                v = e.target
-                if v == avoid or v in seen:
-                    continue
-                if v == target:
-                    return True
-                seen.add(v)
-                nxt.append(v)
-        frontier = nxt
-    return False
+    return target in _search(graph, (source,), avoid, False)
 
 
 # ---------------------------------------------------------------------------

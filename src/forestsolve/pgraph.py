@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .forests import Forest, ForestSums, enumerate_rooted_forests, forest_from_edges
-from .linsys import LinearSystem, Solution, bordered_laplacian
+from .forests import Forest, enumerate_rooted_forests, forest_from_edges
+from .linsys import LinearSystem, Solution
 from .multigraph import (
     Edge,
     Laplacian,
@@ -579,28 +579,14 @@ def certify_nonneg(
 ) -> tuple[Solution, PGraphWitness] | None:
     """Certify that every solution component is a nonnegative quotient.
 
-    Searches for a certificate graph realizing the bordered matrix.  On
+    A plain system is the block system with no blocks (d = 0, F = {m+1}),
+    so this is :func:`blocksys.certify_block_nonneg` on
+    ``BlockStructure((), m, ())``: its realization is the bordered matrix,
+    there is no sign hypothesis and condition (*) holds trivially.  On
     success N_i and D are the tree sums rooted at i and at m+1, read as
-    signed minors of that matrix from one :class:`forests.ForestSums` table
-    (all-minors matrix-tree theorem), and each is verified coefficientwise
+    signed minors of that matrix, and each is verified coefficientwise
     nonnegative.  The graph's forests enter only the proof of that sign.
     """
-    lap = bordered_laplacian(system)
-    found = find_pgraph(lap)
-    if found is None:
-        return None
-    graph, mu = found
-    witness = is_pgraph(graph, mu)
-    if witness is None:
-        raise AssertionError("search returned an invalid certificate")
-    last = lap.size
-    sums = ForestSums(lap, (last,))
+    from .blocksys import BlockStructure, certify_block_nonneg  # imports this module
 
-    def tree_sum(root: int) -> Polynomial:
-        sign, minor = sums.signed_minor({last: root})
-        return minor if sign > 0 else -minor
-
-    solution = Solution(tuple(map(tree_sum, range(1, last))), tree_sum(last))
-    if not all(map(is_nonneg, solution.numerators + (solution.denominator,))):
-        raise AssertionError("certified tree sum has mixed signs")
-    return solution, witness
+    return certify_block_nonneg(system, BlockStructure((), system.m, ()))

@@ -16,7 +16,9 @@ from forestsolve import (
     Polynomial,
     Solution,
     SteadyStateTask,
+    build_steady_system,
     conservation_laws,
+    mass_action_odes,
     parse_network,
     parse_poly,
 )
@@ -163,6 +165,12 @@ def nsite_network_and_task(n: int):
         drop=tuple(range(2 * n + 3, 3 * n + 4)),
     )
     return net, task
+
+
+def nsite_steady_system(n: int):
+    """The n-site task's steady-state system and block proposal."""
+    net, task = nsite_network_and_task(n)
+    return build_steady_system(net, task, mass_action_odes(net))
 
 
 def nsite_crn_param_argv(path, n: int) -> list[str]:
@@ -344,6 +352,44 @@ def random_block_system(
         except ValueError:
             continue
         return system, BlockStructure(tuple(sizes), m0, j)
+
+
+def biased_block_system(rng: random.Random) -> tuple[LinearSystem, BlockStructure]:
+    """A block system with m <= 4 that meets the sign hypotheses.
+
+    Each distinguished row is nonnegative with a nonpositive constant, like
+    a conservation law; the other rows have a negative diagonal and mostly
+    nonnegative entries elsewhere, so certificates, refusals and failures
+    of condition (*) all occur.
+    """
+    sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+    m0 = rng.randint(0 if len(sizes) > 1 else 1, max(0, 4 - sum(sizes)))
+    m = sum(sizes) + m0
+    a = [[Polynomial.zero()] * m for _ in range(m)]
+    b = [Polynomial.zero()] * m
+    spans, j, start = [], [], 0
+    for size in sizes:
+        spans.append(range(start, start + size))
+        j.append(rng.randrange(start, start + size) + 1)
+        start += size
+    spans.append(range(start, m))  # the tail, whose rows may use every column
+    for k, rows in enumerate(spans):
+        cols = rows if k < len(sizes) else range(m)
+        for r in rows:
+            for c in cols:
+                if r + 1 in j:
+                    value = rng.randint(1 if c == r else 0, 2)
+                elif c == r:
+                    value = -rng.randint(1, 3)
+                else:
+                    value = rng.choice((0, 0, 1, 2, -1, -2))
+                a[r][c] = Polynomial.constant(value)
+            if r + 1 in j:
+                b[r] = Polynomial.constant(-rng.randint(0, 2))
+            elif k == len(sizes):
+                b[r] = Polynomial.constant(rng.choice((0, 1, -1, 2)))
+    names = [f"x{i}" for i in range(1, m + 1)]
+    return LinearSystem.build(names, a, b), BlockStructure(tuple(sizes), m0, tuple(j))
 
 
 def root_sets(blocks: BlockStructure, skip: int | None = None) -> list[tuple[int, ...]]:

@@ -7,11 +7,13 @@ import pytest
 from forestsolve import (
     BlockHypothesisError,
     BlockStructure,
+    Laplacian,
     LinearSystem,
     Multidigraph,
+    PGraphWitness,
+    SingularSystemError,
     blocksys,
     bordered_laplacian,
-    build_steady_system,
     canonical_graph,
     certify_block_nonneg,
     check_condition_star,
@@ -40,7 +42,8 @@ from forestsolve.symring import Sign, det_matrix
 from conftest import (
     ZERO,
     C,
-    nsite_network_and_task,
+    biased_block_system,
+    nsite_steady_system,
     random_block_system,
     random_certificate_cases,
     root_sets,
@@ -134,7 +137,7 @@ class TestBuildACompatible:
             "z4",
             "-z5",
         ]
-        assert validate_acompatible(canonical_graph(lap), blocks, system) == []
+        assert validate_acompatible(lap, blocks, system) == []
 
     def test_golden_five_variable(self, five_var_system):
         system, blocks = five_var_system
@@ -149,16 +152,26 @@ class TestBuildACompatible:
     def test_cross_block_edge_reported(self, block_three_system):
         system, blocks = block_three_system
         graph = Multidigraph.from_edges(4, [(3, 1, zvar(1))])
-        problems = validate_acompatible(graph, blocks, system)
-        assert any("crosses" in p for p in problems)
+        problems = validate_acompatible(laplacian_of(graph), blocks, system)
+        assert "entry (1, 3) crosses from block 0 into block 1" in problems
+
+    def test_cross_block_entry_of_distinguished_row_reported(self, block_three_system):
+        # the distinguished row 2 may differ from the system, but not reach
+        # outside its block: entry (2, 3) is an edge from the tail into block 1
+        system, blocks = block_three_system
+        rows = [list(r) for r in realization(system, blocks).rows]
+        rows[1][2] = zvar(9)
+        rows[3][2] = rows[3][2] - zvar(9)
+        assert validate_acompatible(Laplacian(rows), blocks, system) == [
+            "entry (2, 3) crosses from block 0 into block 1"
+        ]
 
     def test_changed_plain_row_reported(self, block_three_system):
         system, blocks = block_three_system
         rows = [list(r) for r in realization(system, blocks).rows]
         rows[0][0] = rows[0][0] - zvar(9)
         rows[1][0] = rows[1][0] + zvar(9)  # compensate inside the free row
-        graph = canonical_graph(rows)
-        problems = validate_acompatible(graph, blocks, system)
+        problems = validate_acompatible(Laplacian(rows), blocks, system)
         assert any("row 1" in p for p in problems)
 
     def test_system_not_in_block_form_rejected(self, block_three_system):
@@ -324,6 +337,55 @@ class TestStructuralFacts:
                 assert len(images) <= 1
 
 
+def _pairwise_reaches(graph, source, target, avoid) -> bool:
+    """One breadth-first search per (source, target) pair, avoiding ``avoid``."""
+    if source == target:
+        return True
+    seen, frontier = {source}, [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for e in graph.out_edges(u):
+                if e.target == target:
+                    return True
+                if e.target != avoid and e.target not in seen:
+                    seen.add(e.target)
+                    nxt.append(e.target)
+        frontier = nxt
+    return False
+
+
+def _pairwise_condition_star(graph, blocks):
+    """Condition (*) as one pairwise search per (row, edge) and per variable,
+    with its witness (block, variable, edge id)."""
+    last = blocks.m + 1
+    for e in sorted(graph.edges, key=lambda e: e.eid):
+        if poly_sign(e.label) != Sign.NONPOS or last in (e.source, e.target):
+            continue
+        for i in range(1, blocks.d + 1):
+            if not _pairwise_reaches(graph, blocks.j[i - 1], e.source, last):
+                continue
+            for ell in range(1, blocks.m + 1):
+                if _pairwise_reaches(graph, e.target, ell, last):
+                    return False, (i, ell, e.eid)
+    return True, None
+
+
+def _pairwise_zero_components(witness, blocks):
+    """Block variables reaching a negative source, one search per pair."""
+    graph, last = witness.graph, blocks.m + 1
+    sources = {
+        e.source
+        for e in graph.edges
+        if poly_sign(e.label) == Sign.NONPOS and last not in (e.source, e.target)
+    }
+    return frozenset(
+        ell
+        for ell in range(1, blocks.m - blocks.m0 + 1)
+        if any(_pairwise_reaches(graph, ell, s, last) for s in sources)
+    )
+
+
 class TestConditionStar:
     def test_no_negative_edges(self, block_three_system):
         system, blocks = block_three_system
@@ -351,7 +413,66 @@ class TestConditionStar:
         )
         ok, proof = check_condition_star(graph, blocks)
         assert not ok
-        assert proof == (1, 3, 2)
+        assert proof == (1, 2)
+
+    def test_sets_agree_with_pairwise_search(self):
+        # condition (*) and the zero components, from reachability sets,
+        # against the pairwise searches they replaced
+        rng = random.Random(1000)
+        graphs = failures = nonempty = 0
+        for _ in range(2000):
+            system, blocks = biased_block_system(rng)
+            found = find_pgraph(realization(system, blocks))
+            if found is None:
+                continue
+            graphs += 1
+            witness = PGraphWitness(found[0], found[1], {})
+            ok, proof = check_condition_star(found[0], blocks)
+            old_ok, old_proof = _pairwise_condition_star(found[0], blocks)
+            assert ok == old_ok
+            assert proof == (old_proof and (old_proof[0], old_proof[2]))
+            zeros = zero_components(witness, blocks)
+            assert zeros == _pairwise_zero_components(witness, blocks)
+            failures += not ok
+            nonempty += bool(zeros)
+        assert graphs >= 1000 and failures >= 400 and nonempty >= 100, (graphs, failures, nonempty)
+
+    def test_zero_components_vanish(self):
+        # a component listed as forced to zero has a zero numerator
+        rng = random.Random(1002)
+        listed = 0
+        for _ in range(1500):
+            system, blocks = biased_block_system(rng)
+            try:
+                outcome = certify_block_nonneg(system, blocks)
+            except SingularSystemError:
+                continue
+            if outcome is not None:
+                solution, witness = outcome
+                for ell in zero_components(witness, blocks):
+                    listed += 1
+                    assert solution.numerators[ell - 1].is_zero()
+        assert listed >= 15, listed
+
+    def test_condition_is_needed(self):
+        # a certificate graph exists and (*) fails, and the solution has a
+        # negative component: without (*) these systems would be certified
+        rng = random.Random(1001)
+        needed = 0
+        for _ in range(600):
+            system, blocks = biased_block_system(rng)
+            found = find_pgraph(realization(system, blocks))
+            if found is None or check_condition_star(found[0], blocks)[0]:
+                continue
+            try:
+                oracle = cramer_oracle(system)
+            except SingularSystemError:
+                continue
+            signs = {poly_sign(p) for p in oracle.numerators + (oracle.denominator,) if p}
+            if signs == {Sign.NONNEG, Sign.NONPOS}:
+                needed += 1
+                assert certify_block_nonneg(system, blocks) is None
+        assert needed >= 50, needed
 
     def test_witness_graph_reachability(self, five_var_system):
         from forestsolve import reaches_avoiding
@@ -412,7 +533,7 @@ class TestCertification:
     def test_refusal_tries_one_realization(self, monkeypatch):
         # one 3-row block and a 3-row tail refuse the n = 2 n-site system; the
         # certificate search sees the column-sum realization and nothing else
-        system, _ = build_steady_system(*nsite_network_and_task(2))
+        system, _ = nsite_steady_system(2)
         blocks = BlockStructure((3,), 3, (1,))
         seen = []
 
@@ -434,7 +555,7 @@ class TestCertification:
         )
         blocks = BlockStructure((1,), 1, (1,))
         graph, _ = find_pgraph(realization(system, blocks))
-        assert check_condition_star(graph, blocks) == (False, (1, 2, 1))
+        assert check_condition_star(graph, blocks) == (False, (1, 1))
         assert poly_sign(cramer_oracle(system).numerators[1]) == Sign.MIXED
         assert certify_block_nonneg(system, blocks) is None
 

@@ -369,7 +369,7 @@ class TestErrors:
         def broken(lap):
             raise fault
 
-        monkeypatch.setattr(pgraph, "find_pgraph", broken)
+        monkeypatch.setattr(blocksys, "find_pgraph", broken)
         code, out, err = run(capsys, ["certify", "--input", system_file])
         assert code == 3
         assert out == ""

@@ -30,7 +30,12 @@ from forestsolve.crn import validate_dropped_rows
 from forestsolve.linsys import Solution
 from forestsolve.symring import det_matrix
 
-from conftest import nsite_closed_form, nsite_network_and_task, over_common_denominator
+from conftest import (
+    nsite_closed_form,
+    nsite_network_and_task,
+    nsite_steady_system,
+    over_common_denominator,
+)
 
 P = parse_poly
 
@@ -146,7 +151,8 @@ class TestConservation:
 
 class TestBuildSystem:
     def test_golden_matrix(self, crn_text):
-        system, blocks = build_steady_system(parse_network(crn_text), TASK)
+        net = parse_network(crn_text)
+        system, blocks = build_steady_system(net, TASK, mass_action_odes(net))
         assert system.variables == ("x1", "x2", "x3", "x4", "x6")
         assert [str(p) for p in system.a[0]] == [
             "-k1*x5 - k8", "k9", "k2 + k3", "0", "0",
@@ -168,7 +174,7 @@ class TestBuildSystem:
             solve_for=("x1", "x2", "x3"),
             conservation=(ConservationUse(replaces_row=2, law_index=1, total="z1"),),
         )
-        system, blocks = build_steady_system(net, task)
+        system, blocks = build_steady_system(net, task, mass_action_odes(net))
         assert [str(p) for p in system.a[0]] == ["-z2", "z3", "0"]
         assert [str(p) for p in system.a[1]] == ["1", "1", "0"]
         assert [str(p) for p in system.a[2]] == ["0", "z3", "-z4"]
@@ -178,7 +184,7 @@ class TestBuildSystem:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_nsite_proposal_ends_a_block_at_the_last_row(self, n):
         # the F-block ends at row m after the E-block: no tail is left
-        _, blocks = build_steady_system(*nsite_network_and_task(n))
+        _, blocks = nsite_steady_system(n)
         assert blocks == BlockStructure((n + 1, n + 1), 0, (1, n + 2))
 
     def test_block_spanning_every_row_is_not_proposed(self, three_var_system):
@@ -190,7 +196,7 @@ class TestBuildSystem:
             solve_for=("A", "A2"),
             conservation=(ConservationUse(replaces_row=1, law_index=1, total="T"),),
         )
-        system, _ = build_steady_system(net, task)
+        system, _ = build_steady_system(net, task, mass_action_odes(net))
         assert [str(p) for p in system.a[0]] == ["1", "1"]
         assert str(system.b[0]) == "-T"
 
@@ -198,25 +204,26 @@ class TestBuildSystem:
         net = parse_network("A + A -> B ; k1\nB -> 2 A ; k2")
         task = SteadyStateTask(solve_for=("A", "B"))
         with pytest.raises(NonlinearSystemError):
-            build_steady_system(net, task)
+            build_steady_system(net, task, mass_action_odes(net))
 
     def test_unknowns_must_cover_species(self, crn_text):
         net = parse_network(crn_text)
         with pytest.raises(ValueError):
-            build_steady_system(net, SteadyStateTask(solve_for=("x1",)))
+            build_steady_system(net, SteadyStateTask(solve_for=("x1",)), mass_action_odes(net))
 
     def test_proposal_detects_tail_only(self):
         net = parse_network("A <-> B ; k1, k2")
         task = SteadyStateTask(solve_for=("A", "B"))
-        system, blocks = build_steady_system(net, task)
+        system, blocks = build_steady_system(net, task, mass_action_odes(net))
         assert blocks.d == 0 and blocks.m0 == 2
 
 
 class TestDroppedRows:
     def test_golden_drop_is_dependent(self, crn_text):
         net = parse_network(crn_text)
-        system, _ = build_steady_system(net, TASK)
-        assert validate_dropped_rows(net, TASK, system) == []
+        odes = mass_action_odes(net)
+        system, _ = build_steady_system(net, TASK, odes)
+        assert validate_dropped_rows(odes, TASK, system) == []
 
     def test_independent_drop_reported(self):
         # the dropped inflow/outflow balance is not implied by the rest
@@ -227,8 +234,9 @@ class TestDroppedRows:
             conservation=(ConservationUse(replaces_row=1, law_index=1, total="T"),),
             drop=(3,),
         )
-        system, _ = build_steady_system(net, bad)
-        problems = validate_dropped_rows(net, bad, system)
+        odes = mass_action_odes(net)
+        system, _ = build_steady_system(net, bad, odes)
+        problems = validate_dropped_rows(odes, bad, system)
         assert problems and "independent" in problems[0]
 
 
@@ -342,8 +350,9 @@ class TestRowReduce:
         verdicts = []
         for seed in range(80):
             net, task, planted_dependent = _random_linear_network(random.Random(seed))
-            system, _ = build_steady_system(net, task)
-            problems = validate_dropped_rows(net, task, system)
+            odes = mass_action_odes(net)
+            system, _ = build_steady_system(net, task, odes)
+            problems = validate_dropped_rows(odes, task, system)
             assert problems == _reference_dropped_rows(net, task, system), seed
             if planted_dependent:
                 assert problems == [], seed
@@ -402,6 +411,21 @@ class TestParameterize:
             [report.solution[name] for name in TASK.solve_for]
         )
         assert residual_check(report.system, solution)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equations_built_once(self, monkeypatch, n):
+        # the dropped-row check reads the equations the system was built from
+        calls = []
+
+        def counted(net):
+            calls.append(net)
+            return mass_action_odes(net)
+
+        monkeypatch.setattr(crn, "mass_action_odes", counted)
+        net, task = nsite_network_and_task(n)
+        report = parameterize(net, task)
+        assert report.certified and report.diagnostics
+        assert calls == [net]
 
     def test_matches_cramer(self, crn_text):
         report = parameterize(parse_network(crn_text), TASK)

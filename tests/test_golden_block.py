@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from forestsolve import build_steady_system, cli, system_to_json
+from forestsolve import cli, system_to_json
 
-from conftest import nsite_crn_param_argv, nsite_network_and_task
+from conftest import nsite_crn_param_argv, nsite_steady_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -53,7 +53,7 @@ def nsite2_argv(tmp_path, command: str) -> list[str]:
     """Argument list of ``command`` on the n = 2 n-site network, no blocks given."""
     if command == "block-certify":
         path = tmp_path / "nsite2.json"
-        system = build_steady_system(*nsite_network_and_task(2))[0]
+        system = nsite_steady_system(2)[0]
         path.write_text(json.dumps(system_to_json(system)))
         return [command, "--input", str(path)]
     return nsite_crn_param_argv(tmp_path / "nsite2.txt", 2)

@@ -18,7 +18,15 @@ from pathlib import Path
 
 import pytest
 
-from forestsolve import LinearSystem, cli, system_to_json
+from forestsolve import (
+    BlockStructure,
+    LinearSystem,
+    bordered_laplacian,
+    cli,
+    realization,
+    system_from_json,
+    system_to_json,
+)
 
 from conftest import random_certificate_cases, random_int_system, system_of_laplacian
 
@@ -71,3 +79,13 @@ def test_corpus_covers_each_outcome():
 @pytest.mark.parametrize("name", RECORDS)
 def test_certify_output_matches_golden(tmp_path, name):
     assert record({name: RECORDS[name]["input"]}, tmp_path) == {name: RECORDS[name]}
+
+
+def test_no_block_realization_is_the_bordered_matrix():
+    # certify runs the block pipeline with no blocks, while solve --format dot
+    # and graph-dot draw the bordered matrix: both must be the same matrix
+    systems = [system_from_json(rec["input"]) for rec in RECORDS.values()]
+    rng = random.Random(33)
+    systems += [random_int_system(rng) for _ in range(60)]
+    for system in systems:
+        assert realization(system, BlockStructure((), system.m, ())) == bordered_laplacian(system)

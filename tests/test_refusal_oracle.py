@@ -34,7 +34,6 @@ from forestsolve import (
     BlockHypothesisError,
     BlockStructure,
     Laplacian,
-    LinearSystem,
     Polynomial,
     Sign,
     SingularSystemError,
@@ -47,7 +46,7 @@ from forestsolve import (
     realization,
 )
 
-from conftest import random_block_system
+from conftest import biased_block_system, random_block_system
 
 NAMES = ("z1", "z2", "z3")
 
@@ -156,44 +155,6 @@ def biased_matrix(rng: random.Random, n: int) -> list[list[Polynomial]]:
     for j in range(n):
         rows[j][j] = -sum((rows[i][j] for i in range(n) if i != j), Polynomial.zero())
     return rows
-
-
-def biased_block_system(rng: random.Random) -> tuple[LinearSystem, BlockStructure]:
-    """A block system with m <= 4 that meets the sign hypotheses.
-
-    Each distinguished row is nonnegative with a nonpositive constant, like
-    a conservation law; the other rows have a negative diagonal and mostly
-    nonnegative entries elsewhere, so certificates, refusals and failures
-    of condition (*) all occur.
-    """
-    sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
-    m0 = rng.randint(0 if len(sizes) > 1 else 1, max(0, 4 - sum(sizes)))
-    m = sum(sizes) + m0
-    a = [[Polynomial.zero()] * m for _ in range(m)]
-    b = [Polynomial.zero()] * m
-    spans, j, start = [], [], 0
-    for size in sizes:
-        spans.append(range(start, start + size))
-        j.append(rng.randrange(start, start + size) + 1)
-        start += size
-    spans.append(range(start, m))  # the tail, whose rows may use every column
-    for k, rows in enumerate(spans):
-        cols = rows if k < len(sizes) else range(m)
-        for r in rows:
-            for c in cols:
-                if r + 1 in j:
-                    value = rng.randint(1 if c == r else 0, 2)
-                elif c == r:
-                    value = -rng.randint(1, 3)
-                else:
-                    value = rng.choice((0, 0, 1, 2, -1, -2))
-                a[r][c] = Polynomial.constant(value)
-            if r + 1 in j:
-                b[r] = Polynomial.constant(-rng.randint(0, 2))
-            elif k == len(sizes):
-                b[r] = Polynomial.constant(rng.choice((0, 1, -1, 2)))
-    names = [f"x{i}" for i in range(1, m + 1)]
-    return LinearSystem.build(names, a, b), BlockStructure(tuple(sizes), m0, tuple(j))
 
 
 def condition_star_holds(rows, blocks) -> bool:
