@@ -7,19 +7,22 @@ all group sums are coefficientwise nonnegative, subject to two cycle
 conditions.  Splitting entries into parallel edges is sometimes essential.
 """
 
+import itertools
+
 from forestsolve import (
     LinearSystem,
     Polynomial,
+    Sign,
     bordered_laplacian,
     canonical_graph,
     certify_nonneg,
     cramer_oracle,
-    find_mu,
     find_pgraph,
     is_pgraph,
     lambda_forests,
     nonzero_component,
     parse_poly,
+    poly_sign,
     positive_upsilon,
     psi_fiber,
     upsilon_rooted,
@@ -40,8 +43,18 @@ system = LinearSystem.build(
 lap = bordered_laplacian(system)
 
 # 1. The canonical digraph is NOT certifiable: its single positive edge out
-#    of node 1 cannot serve both negative edges disjointly.
-print("grouping on the canonical graph:", find_mu(canonical_graph(lap)))
+#    of node 1 cannot serve both negative edges disjointly.  Try every
+#    grouping: each positive edge joins one negative edge of its source, or none.
+canonical = canonical_graph(lap)
+negatives = [e for e in canonical.edges if poly_sign(e.label) == Sign.NONPOS]
+positives = [e for e in canonical.edges if poly_sign(e.label) == Sign.NONNEG]
+owners = [[None] + [n.eid for n in negatives if n.source == p.source] for p in positives]
+groupings = (
+    {n.eid: {p.eid for p, o in zip(positives, choice) if o == n.eid} for n in negatives}
+    for choice in itertools.product(*owners)
+)
+found = next((mu for mu in groupings if is_pgraph(canonical, mu)), None)
+print("grouping on the canonical graph:", found)
 
 # 2. Splitting the entry z1 + 2*z2 into parallel edges z1 and 2*z2 makes a
 #    certificate possible; the search does this automatically.

@@ -9,6 +9,7 @@ steady-state parameterizations.
 """
 
 from .symring import (
+    InputError,
     MissingVariableError,
     ParseError,
     Polynomial,
@@ -63,7 +64,6 @@ from .pgraph import (
     PGraphWitness,
     Violation,
     certify_nonneg,
-    find_mu,
     find_pgraph,
     is_pgraph,
     lambda_forests,

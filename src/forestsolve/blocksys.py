@@ -33,6 +33,7 @@ from .linsys import LinearSystem, Solution
 from .multigraph import Laplacian, Multidigraph, reachable_avoiding
 from .pgraph import PGraphWitness, find_pgraph, is_pgraph
 from .symring import (
+    InputError,
     Polynomial,
     Sign,
     is_nonneg,
@@ -70,13 +71,13 @@ class BlockStructure:
 
     def __post_init__(self):
         if len(self.j) != len(self.sizes):
-            raise ValueError("one distinguished row is required per block")
+            raise InputError("one distinguished row is required per block")
         if any(s < 1 for s in self.sizes) or self.m0 < 0:
-            raise ValueError("block sizes must be positive")
+            raise InputError("block sizes must be positive")
         for i, ji in enumerate(self.j):
             lo, hi = self.block_range(i + 1)
             if not (lo <= ji <= hi):
-                raise ValueError(f"distinguished row {ji} outside block {i + 1}")
+                raise InputError(f"distinguished row {ji} outside block {i + 1}")
 
     @property
     def d(self) -> int:
@@ -118,14 +119,14 @@ def choose_j(system: LinearSystem, sizes: Sequence[int], m0: int) -> tuple[int, 
     smallest row of the block; two nonzero constants in a block is an error.
     """
     if sum(sizes) + m0 != system.m:
-        raise ValueError("block sizes do not cover the system")
+        raise InputError("block sizes do not cover the system")
     out = []
     start = 1
     for size in sizes:
         rows = range(start, start + size)
         nonzero = [r for r in rows if not system.b[r - 1].is_zero()]
         if len(nonzero) > 1:
-            raise ValueError(
+            raise InputError(
                 f"block rows {start}..{start + size - 1} have several nonzero constants"
             )
         out.append(nonzero[0] if nonzero else start)

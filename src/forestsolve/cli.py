@@ -1,27 +1,27 @@
-"""Command-line interface: solve, certify, block variants, self-checks.
+"""Command-line interface: solve, certify, their block variants, crn-param.
 
 Exit codes are part of the contract: 0 success (or certified), 1 no
 certificate found, 2 input error, 3 internal failure (an oracle disagreement,
 a failed invariant or any other exception raised past the input checks).
-Each subcommand accepts only the options its handler reads.  The one
-randomized command, ``mtt-check``, takes an explicit seed, and every
-command prints byte-identical output for identical inputs.
+An input error is an :class:`InputError` raised where outside input is
+checked, a singular system, a missing file or malformed JSON; any other
+exception, a ``ValueError`` included, is an internal failure.  Each
+subcommand accepts only the options its handler reads, and every command
+prints byte-identical output for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import os
-import random
 import sys
 from typing import Callable, Sequence
 
-from . import blocksys, crn, forests, linsys, multigraph, pgraph
-from .symring import ParseError
+from . import blocksys, crn, linsys, multigraph, pgraph
+from .symring import InputError
 
 log = logging.getLogger("forestsolve")
 
@@ -38,10 +38,13 @@ def _configure_logging() -> None:
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text: {exc}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -63,7 +66,7 @@ def _load_json(args):
     try:
         return json.loads(text)
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+        raise InputError("JSON nested too deeply") from None
 
 
 def _witness_payload(witness: pgraph.PGraphWitness) -> dict:
@@ -172,7 +175,7 @@ def _load_block_system(args) -> tuple[linsys.LinearSystem, blocksys.BlockStructu
     if spec is None:
         return system, crn.propose_blocks(system)
     if not isinstance(spec, dict) or not isinstance(spec.get("m0"), int):
-        raise ValueError("'blocks' must be an object with an integer 'm0'")
+        raise InputError("'blocks' must be an object with an integer 'm0'")
     sizes = tuple(multigraph.json_list(spec.get("sizes"), int, "'sizes'"))
     m0 = spec["m0"]
     j = tuple(multigraph.json_list(spec.get("j") or [], int, "'j'"))
@@ -216,50 +219,23 @@ def _cmd_block_certify(args) -> int:
     return _report_certified(args, outcome, blocks)
 
 
-def _cmd_mtt_check(args) -> int:
-    rng = random.Random(args.seed)
-    checked = 0
-    mismatches: list[dict] = []
-    for _ in range(args.random):
-        graph = multigraph.random_multidigraph(
-            rng, max_nodes=args.nodes, max_edges=args.edges
-        )
-        nodes = list(graph.nodes)
-        for size in range(0, min(3, len(nodes)) + 1):
-            for f_set in itertools.combinations(nodes, size):
-                for b_set in itertools.combinations(nodes, size):
-                    checked += 1
-                    if not forests.all_minors_check(graph, f_set, b_set):
-                        mismatches.append(
-                            {
-                                "graph": multigraph.graph_to_json(graph),
-                                "F": list(f_set),
-                                "B": list(b_set),
-                            }
-                        )
-    payload = {
-        "graphs": args.random,
-        "checked": checked,
-        "mismatches": mismatches,
-        "seed": args.seed,
-    }
-    _emit_json(payload, args)
-    return EXIT_OK if not mismatches else EXIT_INTERNAL
-
-
 def _cmd_crn_param(args) -> int:
     net = crn.parse_network(_read_input(args.input))
-    conservation = []
-    for tok in args.conserve or []:
-        law, total, row = tok.split(":")
-        conservation.append(
+    try:
+        conservation = tuple(
             crn.ConservationUse(int(row), int(law), total)
+            for law, total, row in (tok.split(":") for tok in args.conserve or [])
         )
+        drop = tuple(int(tok) for tok in args.drop or [])
+    except ValueError as exc:
+        raise InputError(
+            f"--conserve takes LAW:TOTAL:ROW and --drop ROW, LAW and ROW integers: {exc}"
+        ) from None
     task = crn.SteadyStateTask(
         solve_for=tuple((args.solve_for or "").split(",")) if args.solve_for else (),
         parameters=tuple(args.parameters.split(",")) if args.parameters else (),
-        conservation=tuple(conservation),
-        drop=tuple(int(tok) for tok in (args.drop or [])),
+        conservation=conservation,
+        drop=drop,
     )
     report = crn.parameterize(net, task)
     if args.format == "dot" and report.witness is not None:
@@ -333,14 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, "json", "dot")
     p.set_defaults(func=_cmd_block_certify)
 
-    p = sub.add_parser("mtt-check", help="randomized minor/forest-sum self-check")
-    p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=int, default=200, help="number of graphs")
-    p.add_argument("--nodes", type=int, default=5, help="max nodes per graph")
-    p.add_argument("--edges", type=int, default=10, help="max edges per graph")
-    p.set_defaults(func=_cmd_mtt_check)
-
     p = sub.add_parser("crn-param", help="steady-state parameterization")
     _add_io(p, "json", "dot")
     p.add_argument("--solve-for", dest="solve_for", default=None)
@@ -367,12 +335,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        json.JSONDecodeError,
-        ParseError,
-        crn.NetworkParseError,
-        crn.NonlinearSystemError,
-        FileNotFoundError,
-        ValueError,
+        InputError, linsys.SingularSystemError, FileNotFoundError, json.JSONDecodeError
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

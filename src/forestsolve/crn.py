@@ -24,13 +24,13 @@ from .blocksys import (
 )
 from .linsys import LinearSystem, SingularSystemError
 from .pgraph import PGraphWitness
-from .symring import Polynomial, RationalExpr, monomial_split, poly_sum, sum_products
+from .symring import InputError, Polynomial, RationalExpr, monomial_split, poly_sum, sum_products
 
 _ARROW_REV = "<->"
 _ARROW_FWD = "->"
 
 
-class NetworkParseError(ValueError):
+class NetworkParseError(InputError):
     """Malformed network text; carries line and column."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -39,7 +39,7 @@ class NetworkParseError(ValueError):
         self.column = column
 
 
-class NonlinearSystemError(ValueError):
+class NonlinearSystemError(InputError):
     """A retained equation is not linear in the chosen unknowns."""
 
 
@@ -53,7 +53,7 @@ class Reaction:
 
     def __post_init__(self):
         if dict(self.reactants) == dict(self.products):
-            raise ValueError("reactants and products coincide")
+            raise InputError("reactants and products coincide")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class Network:
         for r in self.reactions:
             for name, _ in r.reactants + r.products:
                 if name not in declared:
-                    raise ValueError(f"species {name} is not declared")
+                    raise InputError(f"species {name} is not declared")
 
     def species_index(self, name: str) -> int:
         return self.species.index(name)
@@ -321,19 +321,19 @@ def build_steady_system(
     if set(unknowns) | set(task.parameters) != names or set(unknowns) & set(
         task.parameters
     ):
-        raise ValueError("unknowns and parameters must partition the species")
+        raise InputError("unknowns and parameters must partition the species")
     replaced = {u.replaces_row: u for u in task.conservation}
     dropped = set(task.drop)
     if dropped & set(replaced):
-        raise ValueError("a row cannot be both dropped and replaced")
+        raise InputError("a row cannot be both dropped and replaced")
     n_species = len(net.species)
     for row in sorted(dropped | set(replaced)):
         if not (1 <= row <= n_species):
-            raise ValueError(f"row {row} is not a species row")
+            raise InputError(f"row {row} is not a species row")
     laws = conservation_laws(net)
     for use in task.conservation:
         if not (1 <= use.law_index <= len(laws)):
-            raise ValueError(
+            raise InputError(
                 f"conservation law {use.law_index} does not exist "
                 f"({len(laws)} available)"
             )
@@ -358,7 +358,7 @@ def build_steady_system(
         rows.append(coeffs)
         consts.append(constant)
     if len(rows) != len(unknowns):
-        raise ValueError(
+        raise InputError(
             f"{len(rows)} equations retained for {len(unknowns)} unknowns"
         )
     system = LinearSystem.build(unknowns, rows, consts)

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .forests import upsilon_rooted
 from .multigraph import Laplacian, Multidigraph, canonical_graph, json_list
 from .symring import (
+    InputError,
     Polynomial,
     RationalExpr,
     minor_table,
@@ -50,11 +51,11 @@ class LinearSystem:
     def __post_init__(self):
         m = len(self.variables)
         if m == 0:
-            raise ValueError("system must have at least one variable")
+            raise InputError("system must have at least one variable")
         if len(self.a) != m or any(len(row) != m for row in self.a):
-            raise ValueError("coefficient matrix shape does not match variables")
+            raise InputError("coefficient matrix shape does not match variables")
         if len(self.b) != m:
-            raise ValueError("constant vector length does not match variables")
+            raise InputError("constant vector length does not match variables")
 
     @property
     def m(self) -> int:
@@ -174,7 +175,7 @@ def system_to_json(system: LinearSystem) -> dict:
 
 def system_from_json(data: Mapping) -> LinearSystem:
     if not isinstance(data, Mapping):
-        raise ValueError("a system must be a JSON object")
+        raise InputError("a system must be a JSON object")
     return LinearSystem.build(
         json_list(data.get("variables"), str, "'variables'"),
         [

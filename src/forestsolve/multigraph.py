@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .symring import Polynomial, Sign, parse_poly, poly_sign, poly_sum, sum_products
+from .symring import InputError, Polynomial, Sign, parse_poly, poly_sign, poly_sum, sum_products
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,8 @@ def simple_cycles(graph: Multidigraph) -> list[tuple[Edge, ...]]:
     """All directed simple cycles as edge sequences.
 
     Parallel edges yield distinct cycles: one per choice of edge along each
-    arc of the underlying node cycle.  Deterministic order.
+    arc of the underlying node cycle.  Deterministic order.  No certificate
+    code calls it; the tests and the benchmark's tracer do.
     """
     result: list[tuple[Edge, ...]] = []
     for nodes in node_cycles(graph):
@@ -299,15 +300,15 @@ _JSON_NAMES = {str: "strings", int: "integers", list: "arrays", dict: "objects"}
 
 
 def json_list(value, kind: type, what: str) -> list:
-    """``value`` if it is a JSON array of ``kind`` items, else ValueError."""
+    """``value`` if it is a JSON array of ``kind`` items, else InputError."""
     if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-        raise ValueError(f"{what} must be an array of {_JSON_NAMES[kind]}")
+        raise InputError(f"{what} must be an array of {_JSON_NAMES[kind]}")
     return value
 
 
 def graph_from_json(data: Mapping) -> Multidigraph:
     if not isinstance(data, Mapping) or not isinstance(data.get("nodes"), int):
-        raise ValueError("a graph must be an object with an integer 'nodes'")
+        raise InputError("a graph must be an object with an integer 'nodes'")
     triples = []
     for e in json_list(data.get("edges"), dict, "'edges'"):
         if not (
@@ -315,9 +316,12 @@ def graph_from_json(data: Mapping) -> Multidigraph:
             and isinstance(e.get("tgt"), int)
             and isinstance(e.get("label"), str)
         ):
-            raise ValueError("an edge needs integer 'src', 'tgt' and a string 'label'")
+            raise InputError("an edge needs integer 'src', 'tgt' and a string 'label'")
         triples.append((e["src"], e["tgt"], parse_poly(e["label"])))
-    return Multidigraph.from_edges(data["nodes"], triples)
+    try:
+        return Multidigraph.from_edges(data["nodes"], triples)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,16 @@ edges, and every cycle through a grouped positive edge passes the target of
 its negative edge.  When every group sum (negative label plus group labels)
 is coefficientwise nonnegative, every rooted tree sum of the graph is a
 nonnegative polynomial, so all solution components of the associated linear
-system are quotients of nonnegative elements.
+system are quotients of nonnegative elements.  :func:`validate_partition`
+checks both cycle conditions of a given grouping on the graph's arcs: node
+cycles for the first, reachability for the second.
 
-The search for such a graph realizing a given bordered matrix works at
-monomial granularity: each matrix entry is split into its monomials, negative
-parallel monomials are merged, and the cancellation of negative monomial mass
-by compatible positive monomial edges is solved exactly as a small
-transportation problem (splitting a positive edge between groups when needed).
+The one search for such a graph, :func:`find_pgraph`, realizes a given
+bordered matrix at monomial granularity: each matrix entry is split into its
+monomials, negative parallel monomials are merged, and the cancellation of
+negative monomial mass by compatible positive monomial edges is solved exactly
+as a small transportation problem (splitting a positive edge between groups
+when needed).
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 from .forests import Forest, enumerate_rooted_forests, forest_from_edges
 from .linsys import LinearSystem, Solution
 from .multigraph import (
-    Edge,
     Laplacian,
     Multidigraph,
     canonical_graph,
     node_cycles,
-    simple_cycles,
+    reaches_avoiding,
 )
 from .symring import (
     Polynomial,
@@ -82,6 +84,13 @@ def validate_partition(
     share the source of their negative edge; (iii b) every cycle through a
     grouped edge passes the negative edge's target; (iii c) groups are
     pairwise disjoint.  The map may omit negative edges (empty group).
+
+    Both cycle conditions are read on arcs, not on edge-level cycles: a
+    simple cycle uses each arc once, so (ii) fails on a node cycle along
+    two arcs that carry negative edges, and (iii b) fails for a grouped
+    edge s -> u when u reaches s in the graph without the target.  Each
+    violating node cycle gives one (ii) violation listing its negative
+    edges; a (iii b) violation lists the negative and the grouped edge.
     """
     violations: list[Violation] = []
     signs = {e.eid: poly_sign(e.label) for e in graph.edges}
@@ -109,15 +118,18 @@ def validate_partition(
                     )
                 )
 
-    cycles = simple_cycles(graph)
-    for cycle in cycles:
-        neg_in_cycle = [e.eid for e in cycle if e.eid in negatives]
-        if len(neg_in_cycle) > 1:
+    negative_arcs: dict[tuple[int, int], list[int]] = {}
+    for eid in sorted(negatives):
+        e = graph.edge(eid)
+        negative_arcs.setdefault((e.source, e.target), []).append(eid)
+    for nodes in node_cycles(graph):
+        hops = [arc for arc in zip(nodes, nodes[1:] + nodes[:1]) if arc in negative_arcs]
+        if len(hops) > 1:
             violations.append(
                 Violation(
                     "ii",
                     "cycle holds more than one negative edge",
-                    tuple(e.eid for e in cycle),
+                    tuple(eid for arc in hops for eid in negative_arcs[arc]),
                 )
             )
 
@@ -137,18 +149,17 @@ def validate_partition(
                         (eid, other),
                     )
                 )
-            for cycle in cycles:
-                if any(c.eid == other for c in cycle):
-                    nodes = {c.source for c in cycle}
-                    if e.target not in nodes:
-                        violations.append(
-                            Violation(
-                                "iiib",
-                                f"cycle through edge {other} avoids node {e.target}",
-                                tuple(c.eid for c in cycle),
-                            )
-                        )
-                        break
+            t = e.target
+            if t not in (e2.source, e2.target) and reaches_avoiding(
+                graph, e2.target, e2.source, t
+            ):
+                violations.append(
+                    Violation(
+                        "iiib",
+                        f"cycle through edge {other} avoids node {t}",
+                        (eid, other),
+                    )
+                )
 
     seen: dict[int, int] = {}
     for eid in sorted(full_mu):
@@ -183,7 +194,7 @@ def is_pgraph(
 
 
 # ---------------------------------------------------------------------------
-# searching for a certificate on a fixed graph
+# searching for a certificate among all realizations of a matrix
 
 
 def _arc_common_nodes(graph: Multidigraph) -> dict[tuple[int, int], frozenset[int]]:
@@ -203,71 +214,6 @@ def _cycle_through_two(graph: Multidigraph, arcs: Collection[tuple[int, int]]) -
     """Whether some simple cycle of the graph runs along two of ``arcs`` (ii)."""
     hops = (zip(c, c[1:] + c[:1]) for c in node_cycles(graph))
     return any(sum(arc in arcs for arc in cycle) > 1 for cycle in hops)
-
-
-def _assign_groups(
-    graph: Multidigraph, needs: Sequence[Edge], candidates: Mapping[int, list[int]],
-    assignment: dict[int, tuple[int, ...]], used: frozenset[int],
-) -> bool:
-    """Extend ``assignment`` to every edge of ``needs``, or report failure.
-
-    The next edge to group, ``needs[len(assignment)]``, takes the first
-    subset (in mask order) of its candidates outside ``used`` whose labels
-    sum with its own to a nonnegative polynomial.
-    """
-    if len(assignment) == len(needs):
-        return True
-    need = needs[len(assignment)]
-    avail = [eid for eid in candidates[need.eid] if eid not in used]
-    for mask in range(1 << len(avail)):
-        subset = tuple(avail[k] for k in range(len(avail)) if mask >> k & 1)
-        if not is_nonneg(poly_sum([need.label, *(graph.edge(eid).label for eid in subset)])):
-            continue
-        assignment[need.eid] = subset
-        if _assign_groups(graph, needs, candidates, assignment, used | frozenset(subset)):
-            return True
-        del assignment[need.eid]
-    return False
-
-
-def find_mu(graph: Multidigraph) -> dict[int, frozenset[int]] | None:
-    """Search for a grouping making the fixed graph a certificate.
-
-    Whole edges only (no splitting); first solution in deterministic order.
-    Condition (ii) is read on node cycles, since a simple cycle passes each
-    arc once; (iii b) is one lookup in the per-arc table of common nodes.
-    """
-    signs = {e.eid: poly_sign(e.label) for e in graph.edges}
-    if any(s in (Sign.MIXED, Sign.ZERO) for s in signs.values()):
-        return None
-    common = _arc_common_nodes(graph)
-    negative_arcs = {
-        (e.source, e.target) for e in graph.edges if signs[e.eid] == Sign.NONPOS
-    }
-    if _cycle_through_two(graph, negative_arcs):
-        return None
-
-    mu: dict[int, frozenset[int]] = {}
-    for source in graph.nodes:
-        needs = [e for e in graph.out_edges(source) if signs[e.eid] == Sign.NONPOS]
-        if not needs:
-            continue
-        pool = [e for e in graph.out_edges(source) if signs[e.eid] == Sign.NONNEG]
-        candidates = {
-            need.eid: [e.eid for e in pool if need.target in common[(source, e.target)]]
-            for need in needs
-        }
-
-        assignment: dict[int, tuple[int, ...]] = {}
-        if not _assign_groups(graph, needs, candidates, assignment, frozenset()):
-            return None
-        for eid, subset in assignment.items():
-            mu[eid] = frozenset(subset)
-    return mu
-
-
-# ---------------------------------------------------------------------------
-# searching for a certificate among all realizations of a matrix
 
 
 def _max_flow(

@@ -42,7 +42,11 @@ Exponents = tuple[tuple[str, int], ...]
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Malformed input from outside the program (the CLI's exit status 2)."""
+
+
+class ParseError(InputError):
     """Raised when a polynomial string does not match the grammar."""
 
 
@@ -122,7 +126,7 @@ class Polynomial:
     @staticmethod
     def variable(name: str) -> "Polynomial":
         if not _NAME_RE.fullmatch(name):
-            raise ValueError(f"bad variable name {name!r}")
+            raise InputError(f"bad variable name {name!r}")
         return Polynomial({((name, 1),): 1})
 
     # -- inspection ---------------------------------------------------------

@@ -14,13 +14,16 @@ from forestsolve import (
     LinearSystem,
     Multidigraph,
     Polynomial,
+    Sign,
     Solution,
     SteadyStateTask,
     build_steady_system,
     conservation_laws,
+    is_pgraph,
     mass_action_odes,
     parse_network,
     parse_poly,
+    poly_sign,
 )
 
 # The same examples on every run, and no example database on disk.
@@ -241,6 +244,22 @@ def brute_force_rooted_forests(
         if acyclic:
             out.add(frozenset(e.eid for e in subset))
     return out
+
+
+def brute_force_grouping(graph: Multidigraph) -> dict[int, set[int]] | None:
+    """The first grouping that makes ``graph`` a certificate, or None.
+
+    Each positive edge joins one negative edge of its source or none, so
+    every disjoint same-source grouping is tried; :func:`is_pgraph` decides.
+    """
+    negatives = [e for e in graph.edges if poly_sign(e.label) == Sign.NONPOS]
+    positives = [e for e in graph.edges if poly_sign(e.label) == Sign.NONNEG]
+    owners = [[None] + [n.eid for n in negatives if n.source == p.source] for p in positives]
+    for choice in itertools.product(*owners):
+        mu = {n.eid: {p.eid for p, o in zip(positives, choice) if o == n.eid} for n in negatives}
+        if is_pgraph(graph, mu) is not None:
+            return mu
+    return None
 
 
 def brute_force_cycles(graph: Multidigraph) -> set[frozenset[int]]:

@@ -22,7 +22,6 @@ from forestsolve import (
     certify_nonneg,
     cramer_oracle,
     enumerate_rooted_forests,
-    find_mu,
     find_pgraph,
     is_nonneg,
     is_pgraph,
@@ -43,7 +42,7 @@ from forestsolve import (
 from forestsolve.multigraph import random_multidigraph
 from forestsolve.symring import Sign, det_matrix
 
-from conftest import ZERO, C, random_block_system, random_int_system, zvar
+from conftest import ZERO, C, brute_force_grouping, random_block_system, random_int_system, zvar
 from test_crn import TASK as CRN_TASK
 
 P = parse_poly
@@ -90,7 +89,7 @@ def test_criterion_1_running_example_solution(three_var_system):
 def test_criterion_2_certificate_witness(three_var_system):
     start = time.perf_counter()
     lap = bordered_laplacian(three_var_system)
-    assert find_mu(canonical_graph(lap)) is None  # the unsplit graph fails
+    assert brute_force_grouping(canonical_graph(lap)) is None  # the unsplit graph fails
     graph, mu = find_pgraph(lap)
     witness = is_pgraph(graph, mu)
     assert witness is not None

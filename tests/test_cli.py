@@ -1,5 +1,6 @@
 """Command-line behaviour: payloads, exit codes, determinism."""
 
+import argparse
 import json
 import random
 import re
@@ -189,28 +190,6 @@ class TestBlockCommands:
         assert json.loads(out)["certified"] is True
 
 
-class TestMttCheck:
-    def test_clean_run(self, capsys):
-        code, out, _ = run(capsys, ["mtt-check", "--random", "5", "--seed", "3"])
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["mismatches"] == []
-        assert payload["checked"] > 0
-
-    def test_single_node_graphs(self, capsys):
-        code, out, _ = run(
-            capsys, ["mtt-check", "--random", "3", "--seed", "1", "--nodes", "1"]
-        )
-        assert code == 0
-        assert json.loads(out)["mismatches"] == []
-
-    def test_fixed_seed_reruns_identically(self, capsys):
-        argv = ["mtt-check", "--random", "4", "--seed", "9"]
-        _, first, _ = run(capsys, argv)
-        _, second, _ = run(capsys, argv)
-        assert first == second
-
-
 class TestCrnParam:
     def test_end_to_end(self, capsys, tmp_path):
         net_file = tmp_path / "net.txt"
@@ -363,7 +342,79 @@ class TestErrors:
         assert message in err
 
     @pytest.mark.parametrize(
-        "fault", [KeyError("internal"), RuntimeError("boom"), MissingVariableError("z9")]
+        "command, text, flags, message",
+        [
+            (
+                "graph-dot",
+                {"nodes": 2, "edges": [{"src": 1, "tgt": 1, "label": "z1"}]},
+                [],
+                "edge 1 is a self-loop",
+            ),
+            ("graph-dot", {"nodes": 0, "edges": []}, [], "node_count must be at least 1"),
+            ("solve", {"variables": ["x1"], "A": [["z1", "z2"]], "b": ["1"]}, [], "shape"),
+            (
+                "block-solve",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"],
+                 "blocks": {"sizes": [1], "m0": 0, "j": [2]}},
+                [],
+                "distinguished row 2 outside block 1",
+            ),
+            (
+                "block-solve",
+                {"variables": ["x1", "x2"], "A": [["z1", "0"], ["0", "z2"]], "b": ["1", "1"],
+                 "blocks": {"sizes": [2], "m0": 0}},
+                [],
+                "several nonzero constants",
+            ),
+            ("solve", b"\xff", [], "input is not UTF-8 text"),
+            ("crn-param", CRN_TEXT, ["--solve-for", "x1"], "must partition the species"),
+            ("crn-param", CRN_TEXT, ["--conserve", "1:T1"], "LAW:TOTAL:ROW"),
+            ("crn-param", CRN_TEXT, ["--drop", "five"], "--drop ROW"),
+            (
+                "crn-param",
+                CRN_TEXT,
+                ["--solve-for", "x1,x2,x3,x4,x6", "--parameters", "x5",
+                 "--conserve", "1:T-1:4", "--drop", "5"],
+                "bad variable name 'T-1'",
+            ),
+            ("crn-param", "x1 -> x1 ; k1\n", ["--solve-for", "x1"], "coincide"),
+        ],
+        ids=[
+            "graph-self-loop",
+            "graph-no-nodes",
+            "matrix-shape",
+            "row-outside-block",
+            "two-constants-in-block",
+            "not-utf8",
+            "task-partition",
+            "conserve-token",
+            "drop-token",
+            "conserve-total-name",
+            "empty-reaction",
+        ],
+    )
+    def test_input_fault_exits_2(self, capsys, tmp_path, command, text, flags, message):
+        # input checked below the JSON shape: graph, matrix and block shape,
+        # encoding, crn-param's task and tokens, the network's reactions
+        path = tmp_path / "input"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text if isinstance(text, str) else json.dumps(text))
+        code, out, err = run(capsys, [command, "--input", str(path), *flags])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            KeyError("internal"),
+            RuntimeError("boom"),
+            MissingVariableError("z9"),
+            ValueError("internal"),
+        ],
     )
     def test_internal_fault_exits_3(self, capsys, monkeypatch, system_file, fault):
         def broken(lap):
@@ -394,7 +445,7 @@ class TestOptions:
             ["graph-dot", "--budget", "3"],
             ["block-certify", "--budget", "3"],
             ["crn-param", "--budget", "3"],
-            ["mtt-check", "--input", "x"],
+            ["certify", "--nodes", "3"],
             ["solve", "--seed", "1"],
             ["solve", "--permute-rows", "2,1,3"],
         ],
@@ -414,6 +465,24 @@ class TestOptions:
         for argv in commands:
             assert parser.parse_args(argv).command == argv[0]
         assert {argv[0] for argv in commands} == {
-            "solve", "certify", "block-solve", "block-certify",
-            "mtt-check", "crn-param", "graph-dot",
+            "solve", "certify", "block-solve", "block-certify", "crn-param", "graph-dot",
         }
+        # the options table lists each subcommand's long options and formats
+        section = readme.split("## Command line\n")[1].split("\n## ")[0]
+        table = {
+            row.group(1): row.group(2)
+            for row in re.finditer(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M)
+        }
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(table) == set(sub.choices)
+        for name, subparser in sub.choices.items():
+            options = {
+                opt: action.choices
+                for action in subparser._actions
+                for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"
+            }
+            assert set(re.findall(r"`(--[a-z-]+)", table[name])) == set(options), name
+            formats = re.search(r"`--format ([a-z\\|]+)`", table[name])
+            listed = tuple(formats.group(1).split("\\|")) if formats else None
+            assert listed == options.get("--format"), name

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from forestsolve import (
     certify_nonneg,
     cramer_oracle,
     enumerate_rooted_forests,
-    find_mu,
     find_pgraph,
     forest_from_edges,
     is_nonneg,
@@ -40,10 +40,17 @@ from forestsolve.multigraph import (
     reaches_avoiding,
     simple_cycles,
 )
-from forestsolve.pgraph import _arc_common_nodes
+from forestsolve.pgraph import Violation, _arc_common_nodes, _normalize_mu
 from forestsolve.symring import Sign
 
-from conftest import ZERO, C, random_certificate_cases, system_of_laplacian, zvar
+from conftest import (
+    ZERO,
+    C,
+    brute_force_grouping,
+    random_certificate_cases,
+    system_of_laplacian,
+    zvar,
+)
 
 P = parse_poly
 
@@ -139,38 +146,161 @@ class TestIsPgraph:
         assert is_pgraph(graph, {1: {2}}) is None
 
     def test_nine_edge_graph_admits_no_grouping(self):
-        assert find_mu(_nine_edge_graph()) is None
+        assert brute_force_grouping(_nine_edge_graph()) is None
 
     def test_canonical_graph_of_running_example_is_not_certifiable(
         self, three_var_system
     ):
         graph = canonical_graph(bordered_laplacian(three_var_system))
-        assert find_mu(graph) is None
+        assert brute_force_grouping(graph) is None
 
     def test_find_mu_on_certifiable_graph(self, split_witness):
-        mu = find_mu(split_witness.graph)
+        mu = brute_force_grouping(split_witness.graph)
         assert mu is not None
         assert is_pgraph(split_witness.graph, mu) is not None
 
-    def test_find_mu_reads_condition_ii_on_node_cycles(self):
-        # an edge-level cycle with two negative edges must refuse; any grouping
-        # found must validate
-        rng = random.Random(11)
-        refused = found = 0
-        for _ in range(150):
-            graph = random_multidigraph(rng, max_nodes=5, max_edges=9)
-            two_negative = any(
-                sum(poly_sign(e.label) == Sign.NONPOS for e in cycle) > 1
-                for cycle in simple_cycles(graph)
+
+def _edge_level_validate_partition(graph, mu) -> list[Violation]:
+    """The reference check: both cycle conditions read off edge-level cycles."""
+    violations: list[Violation] = []
+    signs = {e.eid: poly_sign(e.label) for e in graph.edges}
+    for e in sorted(graph.edges, key=lambda e: e.eid):
+        if signs[e.eid] == Sign.MIXED:
+            violations.append(
+                Violation("i", f"edge {e.eid} has a mixed-sign label", (e.eid,))
             )
-            mu = find_mu(graph)
-            if two_negative:
-                assert mu is None
-                refused += 1
-            if mu is not None:
-                assert is_pgraph(graph, mu) is not None
-                found += 1
-        assert refused and found
+    negatives = {eid for eid, s in signs.items() if s == Sign.NONPOS}
+    positives = {eid for eid, s in signs.items() if s == Sign.NONNEG}
+
+    full_mu = _normalize_mu(graph, mu)
+    for eid in sorted(full_mu):
+        if eid not in negatives:
+            violations.append(
+                Violation("domain", f"map key {eid} is not a negative edge", (eid,))
+            )
+        for other in sorted(full_mu[eid]):
+            if other not in positives:
+                violations.append(
+                    Violation(
+                        "range",
+                        f"grouped edge {other} is not a positive edge",
+                        (eid, other),
+                    )
+                )
+
+    cycles = simple_cycles(graph)
+    for cycle in cycles:
+        neg_in_cycle = [e.eid for e in cycle if e.eid in negatives]
+        if len(neg_in_cycle) > 1:
+            violations.append(
+                Violation(
+                    "ii",
+                    "cycle holds more than one negative edge",
+                    tuple(e.eid for e in cycle),
+                )
+            )
+
+    for eid in sorted(full_mu):
+        if eid not in negatives:
+            continue
+        e = graph.edge(eid)
+        for other in sorted(full_mu[eid]):
+            if other not in positives:
+                continue
+            e2 = graph.edge(other)
+            if e2.source != e.source:
+                violations.append(
+                    Violation(
+                        "iiia",
+                        f"edge {other} does not share the source of edge {eid}",
+                        (eid, other),
+                    )
+                )
+            for cycle in cycles:
+                if any(c.eid == other for c in cycle):
+                    nodes = {c.source for c in cycle}
+                    if e.target not in nodes:
+                        violations.append(
+                            Violation(
+                                "iiib",
+                                f"cycle through edge {other} avoids node {e.target}",
+                                tuple(c.eid for c in cycle),
+                            )
+                        )
+                        break
+
+    seen: dict[int, int] = {}
+    for eid in sorted(full_mu):
+        for other in sorted(full_mu[eid]):
+            if other in seen:
+                violations.append(
+                    Violation(
+                        "iiic",
+                        f"edge {other} grouped with both {seen[other]} and {eid}",
+                        (seen[other], eid, other),
+                    )
+                )
+            else:
+                seen[other] = eid
+    return violations
+
+
+def _random_grouping(rng: random.Random, graph: Multidigraph) -> dict[int, set[int]]:
+    """Groups for the negative edges (and a few others), mostly from their
+    source's out-edges, so that every condition is both met and broken."""
+    mu = {}
+    for e in graph.edges:
+        if poly_sign(e.label) == Sign.NONPOS or rng.random() < 0.05:
+            pool = [f.eid for f in graph.edges if f.source == e.source or rng.random() < 0.1]
+            mu[e.eid] = set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+    return mu
+
+
+class TestValidatePartitionOracle:
+    """The arc-level check against the edge-level reference above."""
+
+    def test_agrees_with_edge_level_cycles(self):
+        # (ii) is read once per node cycle, where the reference reports each
+        # edge-level cycle through it; so its count may differ, not its
+        # presence or the negative edges it names.  A (iii b) violation names
+        # the negative and the grouped edge, not a cycle.
+        rng = random.Random(35)
+        seen = Counter()
+        for _ in range(4000):
+            graph = random_multidigraph(rng, max_nodes=5, max_edges=10)
+            mu = _random_grouping(rng, graph)
+            got = validate_partition(graph, mu)
+            want = _edge_level_validate_partition(graph, mu)
+            seen.update(v.condition for v in want)
+
+            def others(violations):
+                return [
+                    (v.condition, v.message, v.edge_ids if v.condition != "iiib" else ())
+                    for v in violations
+                    if v.condition != "ii"
+                ]
+
+            def negatives_on_ii(violations):
+                return {
+                    eid
+                    for v in violations
+                    if v.condition == "ii"
+                    for eid in v.edge_ids
+                    if poly_sign(graph.edge(eid).label) == Sign.NONPOS
+                }
+
+            assert others(got) == others(want)
+            assert any(v.condition == "ii" for v in got) == any(
+                v.condition == "ii" for v in want
+            )
+            assert negatives_on_ii(got) == negatives_on_ii(want)
+            assert bool(got) == bool(want)
+        assert all(seen[c] for c in ("ii", "iiia", "iiib", "iiic")), seen
+
+    def test_search_results_validate(self):
+        for seed in range(40):
+            for _, (graph, mu) in random_certificate_cases(random.Random(seed), 5):
+                assert validate_partition(graph, mu) == []
 
 
 def _complete_digraph(n: int) -> Multidigraph:
