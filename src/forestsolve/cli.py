@@ -1,4 +1,7 @@
-"""Command-line interface: solve, certify, their block variants, crn-param.
+"""Command-line interface: solve, certify, crn-param and graph-dot.
+
+``solve`` and ``certify`` read a system and its ``"blocks"``, if any (none
+is d = 0); ``block-certify`` is another name for ``certify``.
 
 Exit codes are part of the contract: 0 success (or certified), 1 no
 certificate found, 2 input error, 3 internal failure (an oracle disagreement,
@@ -18,7 +21,7 @@ import json
 import logging
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import blocksys, crn, linsys, multigraph, pgraph
 from .symring import InputError
@@ -87,18 +90,43 @@ def _solution_payload(solution: linsys.Solution) -> list[str]:
     return [str(c) for c in solution]
 
 
-def _report_solution(
-    args,
-    system: linsys.LinearSystem,
-    solution: linsys.Solution,
-    dot_graph: Callable[[], multigraph.Multidigraph],
-) -> int:
-    """Oracle check and output shared by ``solve`` and ``block-solve``.
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _load_system(args) -> tuple[linsys.LinearSystem, blocksys.BlockStructure | None]:
+    """The input's system, and its ``"blocks"``, or None without that key."""
+    data = _load_json(args)
+    system = linsys.system_from_json(data)
+    if "blocks" not in data:
+        return system, None
+    spec = data["blocks"]
+    if not isinstance(spec, dict) or type(spec.get("m0")) is not int:
+        raise InputError("'blocks' must be an object with an integer 'm0'")
+    sizes = tuple(multigraph.json_list(spec.get("sizes"), int, "'sizes'"))
+    m0 = spec["m0"]
+    j = tuple(multigraph.json_list(spec.get("j", []), int, "'j'"))
+    blocks = blocksys.BlockStructure(sizes, m0, j or blocksys.choose_j(system, sizes, m0))
+    problems = blocksys.validate_block_form(system, blocks)
+    if problems:
+        raise InputError("\n".join(problems))
+    return system, blocks
+
+
+def _cmd_solve(args) -> int:
+    """Tree sums with no blocks, forest products over the blocks otherwise.
 
     ``--oracle`` asks that Cramer's numerators and denominator equal the
     solver's up to one sign, and that the exact residual A*N + b*D vanish,
-    the one check that shares no minor code with the block solver.
+    the one check that shares no minor code with the block solver.  The DOT
+    graph realizes the matrix that was solved: the column-sum realization,
+    which with no blocks is the bordered matrix.
     """
+    system, blocks = _load_system(args)
+    if blocks is None:
+        solution = linsys.solve_by_trees(system)
+    else:
+        solution = blocksys.solve_block(system, blocks)
     payload = {"solution": _solution_payload(solution)}
     if args.oracle:
         agree = solution.agrees_up_to_sign(
@@ -109,29 +137,36 @@ def _report_solution(
             _emit_json(payload, args)
             return EXIT_INTERNAL
     if args.format == "dot":
-        _write_output(multigraph.to_dot(dot_graph()), args.output)
+        if blocks is None:
+            blocks = blocksys.BlockStructure((), system.m, ())
+        graph = multigraph.canonical_graph(blocksys.realization(system, blocks))
+        _write_output(multigraph.to_dot(graph), args.output)
     elif args.format == "text":
-        lines = [
-            f"{name} = {comp}"
-            for name, comp in zip(system.variables, solution)
-        ]
-        _write_output("\n".join(lines), args.output)
+        rows = zip(system.variables, solution)
+        _write_output("\n".join(f"{name} = {comp}" for name, comp in rows), args.output)
     else:
         _emit_json(payload, args)
     return EXIT_OK
 
 
-def _report_certified(
-    args,
-    outcome: tuple[linsys.Solution, pgraph.PGraphWitness] | None,
-    blocks: blocksys.BlockStructure | None = None,
-) -> int:
-    """Output shared by ``certify`` and ``block-certify``.
+def _cmd_certify(args) -> int:
+    """Certify with no blocks (d = 0), or on the blocks when given.
 
-    A block certificate also lists the components that vanish identically.
+    With blocks, a refusal of the sign hypotheses lists them, and a
+    certificate lists the components that vanish identically.
     """
+    system, blocks = _load_system(args)
+    refusal = {"certified": False, "witness": None, "solution": None}
+    if blocks is None:
+        outcome = pgraph.certify_nonneg(system)
+    else:
+        try:
+            outcome = blocksys.certify_block_nonneg(system, blocks)
+        except blocksys.BlockHypothesisError as exc:
+            outcome = None
+            refusal["hypothesis_violations"] = exc.problems
     if outcome is None:
-        _emit_json({"certified": False, "witness": None, "solution": None}, args)
+        _emit_json(refusal, args)
         return EXIT_NO_WITNESS
     solution, witness = outcome
     if args.format == "dot":
@@ -146,77 +181,6 @@ def _report_certified(
         payload["zero_components"] = sorted(blocksys.zero_components(witness, blocks))
     _emit_json(payload, args)
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _cmd_solve(args) -> int:
-    system = linsys.system_from_json(_load_json(args))
-    solution = linsys.solve_by_trees(system)
-    return _report_solution(
-        args,
-        system,
-        solution,
-        lambda: multigraph.canonical_graph(linsys.bordered_laplacian(system)),
-    )
-
-
-def _cmd_certify(args) -> int:
-    outcome = pgraph.certify_nonneg(linsys.system_from_json(_load_json(args)))
-    return _report_certified(args, outcome)
-
-
-def _load_block_system(args) -> tuple[linsys.LinearSystem, blocksys.BlockStructure]:
-    data = _load_json(args)
-    system = linsys.system_from_json(data)
-    spec = data.get("blocks")
-    if spec is None:
-        return system, crn.propose_blocks(system)
-    if not isinstance(spec, dict) or not isinstance(spec.get("m0"), int):
-        raise InputError("'blocks' must be an object with an integer 'm0'")
-    sizes = tuple(multigraph.json_list(spec.get("sizes"), int, "'sizes'"))
-    m0 = spec["m0"]
-    j = tuple(multigraph.json_list(spec.get("j") or [], int, "'j'"))
-    return system, blocksys.BlockStructure(
-        sizes, m0, j or blocksys.choose_j(system, sizes, m0)
-    )
-
-
-def _cmd_block_solve(args) -> int:
-    system, blocks = _load_block_system(args)
-    problems = blocksys.validate_block_form(system, blocks)
-    if problems:
-        print("\n".join(problems), file=sys.stderr)
-        return EXIT_INPUT
-    solution = blocksys.solve_block(system, blocks)
-    return _report_solution(
-        args,
-        system,
-        solution,
-        lambda: multigraph.canonical_graph(blocksys.realization(system, blocks)),
-    )
-
-
-def _cmd_block_certify(args) -> int:
-    system, blocks = _load_block_system(args)
-    problems = blocksys.validate_block_form(system, blocks)
-    if problems:
-        print("\n".join(problems), file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        outcome = blocksys.certify_block_nonneg(system, blocks)
-    except blocksys.BlockHypothesisError as exc:
-        payload = {
-            "certified": False,
-            "witness": None,
-            "solution": None,
-            "hypothesis_violations": exc.problems,
-        }
-        _emit_json(payload, args)
-        return EXIT_NO_WITNESS
-    return _report_certified(args, outcome, blocks)
 
 
 def _cmd_crn_param(args) -> int:
@@ -260,12 +224,9 @@ def _cmd_crn_param(args) -> int:
 
 def _cmd_graph_dot(args) -> int:
     data = _load_json(args)
-    if isinstance(data, dict) and ("nodes" in data or "edges" in data):
-        graph = multigraph.graph_from_json(data)
-    else:
-        system = linsys.system_from_json(data)
-        graph = multigraph.canonical_graph(linsys.bordered_laplacian(system))
-    _write_output(multigraph.to_dot(graph), args.output)
+    if isinstance(data, dict) and "nodes" not in data and "edges" not in data:
+        raise InputError("not graph JSON; 'solve --format dot' draws a system")
+    _write_output(multigraph.to_dot(multigraph.graph_from_json(data)), args.output)
     return EXIT_OK
 
 
@@ -296,18 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="cross-check the result")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("certify", help="certify a nonnegative solution")
+    p = sub.add_parser(
+        "certify",
+        aliases=["block-certify"],  # the benchmark's name for the block case
+        help="certify a nonnegative solution",
+    )
     _add_io(p, "json", "dot")
     p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("block-solve", help="solve a block-structured system")
-    _add_io(p, "json", "text", "dot")
-    p.add_argument("--oracle", action="store_true", help="cross-check the result")
-    p.set_defaults(func=_cmd_block_solve)
-
-    p = sub.add_parser("block-certify", help="certify a block-structured system")
-    _add_io(p, "json", "dot")
-    p.set_defaults(func=_cmd_block_certify)
 
     p = sub.add_parser("crn-param", help="steady-state parameterization")
     _add_io(p, "json", "dot")
@@ -322,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop", action="append", metavar="ROW")
     p.set_defaults(func=_cmd_crn_param)
 
-    p = sub.add_parser("graph-dot", help="DOT rendering of a graph or system")
+    p = sub.add_parser("graph-dot", help="DOT rendering of a graph")
     _add_io(p)
     p.set_defaults(func=_cmd_graph_dot)
 

@@ -298,22 +298,30 @@ def graph_to_json(graph: Multidigraph) -> dict:
 
 _JSON_NAMES = {str: "strings", int: "integers", list: "arrays", dict: "objects"}
 
+# Nodes a graph may have beyond its edges' endpoints, so that a short input
+# cannot ask for memory in proportion to its "nodes" value.
+SPARE_NODES = 64
+
 
 def json_list(value, kind: type, what: str) -> list:
-    """``value`` if it is a JSON array of ``kind`` items, else InputError."""
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+    """``value`` if it is a JSON array of ``kind`` items, else InputError.
+    Types match exactly, since JSON's booleans parse as ``bool``, an ``int``."""
+    if not isinstance(value, list) or not all(type(v) is kind for v in value):
         raise InputError(f"{what} must be an array of {_JSON_NAMES[kind]}")
     return value
 
 
 def graph_from_json(data: Mapping) -> Multidigraph:
-    if not isinstance(data, Mapping) or not isinstance(data.get("nodes"), int):
+    if not isinstance(data, Mapping) or type(data.get("nodes")) is not int:
         raise InputError("a graph must be an object with an integer 'nodes'")
+    edges = json_list(data.get("edges"), dict, "'edges'")
+    if data["nodes"] > 2 * len(edges) + SPARE_NODES:
+        raise InputError(f"'nodes' exceeds twice the edge count plus {SPARE_NODES}")
     triples = []
-    for e in json_list(data.get("edges"), dict, "'edges'"):
+    for e in edges:
         if not (
-            isinstance(e.get("src"), int)
-            and isinstance(e.get("tgt"), int)
+            type(e.get("src")) is int
+            and type(e.get("tgt")) is int
             and isinstance(e.get("label"), str)
         ):
             raise InputError("an edge needs integer 'src', 'tgt' and a string 'label'")

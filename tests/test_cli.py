@@ -13,17 +13,21 @@ import pytest
 from forestsolve import (
     BlockStructure,
     MissingVariableError,
+    Multidigraph,
     Solution,
     blocksys,
     cli,
     cramer_oracle,
+    crn,
     forests,
     linsys,
     parameterize,
     parse_poly,
     pgraph,
+    propose_blocks,
     system_to_json,
 )
+from forestsolve.multigraph import SPARE_NODES
 
 from conftest import (
     CRN_TEXT,
@@ -31,6 +35,16 @@ from conftest import (
     nsite_crn_param_argv,
     nsite_network_and_task,
 )
+
+
+# One 2x2 block over two trailing rows whose certificate makes x1 vanish.
+ZERO_BLOCK = {
+    "variables": ["x1", "x2", "x3", "x4"],
+    "A": [["-z1", "0", "0", "0"], ["1", "1", "0", "0"],
+          ["z4", "0", "-z5", "z8"], ["0", "0", "-z6", "-z8"]],
+    "b": ["0", "-z3", "0", "z7"],
+    "blocks": {"sizes": [2], "m0": 2, "j": [2]},
+}
 
 
 @pytest.fixture
@@ -128,7 +142,7 @@ class TestCertify:
 
 class TestBlockCommands:
     def test_block_solve(self, capsys, block_file):
-        code, out, _ = run(capsys, ["block-solve", "--input", block_file, "--oracle"])
+        code, out, _ = run(capsys, ["solve", "--input", block_file, "--oracle"])
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle_agrees"] is True
@@ -146,7 +160,7 @@ class TestBlockCommands:
         )
         monkeypatch.setattr(blocksys, "solve_block", lambda *args: wrong)
         monkeypatch.setattr(linsys, "cramer_oracle", lambda *args: wrong)
-        code, out, _ = run(capsys, ["block-solve", "--input", block_file, "--oracle"])
+        code, out, _ = run(capsys, ["solve", "--input", block_file, "--oracle"])
         assert code == 3
         assert json.loads(out)["oracle_agrees"] is False
 
@@ -160,18 +174,18 @@ class TestBlockCommands:
         data["blocks"] = {"sizes": list(blocks.sizes), "m0": 0, "j": list(blocks.j)}
         path = tmp_path / "nsite3.json"
         path.write_text(json.dumps(data))
-        code, out, _ = run(capsys, ["block-solve", "--input", str(path), "--oracle"])
+        code, out, _ = run(capsys, ["solve", "--input", str(path), "--oracle"])
         assert code == 0
         assert json.loads(out)["oracle_agrees"] is True
 
     def test_block_certify(self, capsys, block_file):
-        code, out, _ = run(capsys, ["block-certify", "--input", block_file])
+        code, out, _ = run(capsys, ["certify", "--input", block_file])
         assert code == 0
         payload = json.loads(out)
         assert payload["certified"] is True
         assert payload["zero_components"] == []
 
-    @pytest.mark.parametrize("command", ["block-solve", "block-certify"])
+    @pytest.mark.parametrize("command", ["solve", "certify"])
     def test_realization_fault_exits_3(self, capsys, monkeypatch, block_file, command):
         # block confinement of the realization is an invariant, not a refusal
         monkeypatch.setattr(blocksys, "validate_acompatible", lambda *args: ["slip"])
@@ -181,13 +195,37 @@ class TestBlockCommands:
         assert err.startswith("internal invariant failure")
         assert "slip" in err
 
-    def test_blocks_default_to_proposal(self, capsys, tmp_path, block_three_system):
-        system, _ = block_three_system
-        path = tmp_path / "noblocks.json"
-        path.write_text(json.dumps(system_to_json(system)))
-        code, out, _ = run(capsys, ["block-certify", "--input", str(path)])
+    def test_certify_reads_blocks(self, capsys, monkeypatch, tmp_path):
+        # with its blocks the system certifies and x1 vanishes; without them
+        # certify runs at d = 0, proposes no blocks, and refuses
+        def refuse(*args):
+            raise RuntimeError("blocks proposed")
+
+        monkeypatch.setattr(crn, "propose_blocks", refuse)
+        path = tmp_path / "zero_block.json"
+        path.write_text(json.dumps(ZERO_BLOCK))
+        code, out, _ = run(capsys, ["certify", "--input", str(path)])
         assert code == 0
         assert json.loads(out)["certified"] is True
+        assert json.loads(out)["zero_components"] == [1]
+        assert run(capsys, ["block-certify", "--input", str(path)]) == (0, out, "")
+        path.write_text(json.dumps({k: v for k, v in ZERO_BLOCK.items() if k != "blocks"}))
+        code, out, _ = run(capsys, ["certify", "--input", str(path)])
+        assert code == 1
+        assert json.loads(out) == {"certified": False, "witness": None, "solution": None}
+
+    def test_crn_param_proposes_blocks(self, capsys, monkeypatch, tmp_path):
+        proposals = []
+
+        def spy(system):
+            proposals.append(propose_blocks(system))
+            return proposals[-1]
+
+        monkeypatch.setattr(crn, "propose_blocks", spy)
+        code, out, _ = run(capsys, nsite_crn_param_argv(tmp_path / "nsite2.txt", 2))
+        assert code == 0
+        assert json.loads(out)["certified"] is True
+        assert [(b.sizes, b.m0) for b in proposals] == [((3, 3), 0)]
 
 
 class TestCrnParam:
@@ -244,9 +282,40 @@ class TestGraphDot:
         assert '1 -> 2 [label="z1"];' in out
 
     def test_system_json_input(self, capsys, system_file):
-        code, out, _ = run(capsys, ["graph-dot", "--input", system_file])
+        # graph-dot reads graphs only; solve --format dot draws a system
+        code, out, err = run(capsys, ["graph-dot", "--input", system_file])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error") and "'solve --format dot'" in err
+        code, out, _ = run(capsys, ["solve", "--input", system_file, "--format", "dot"])
         assert code == 0
         assert "doublecircle" in out
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [(2**40, 0), (SPARE_NODES + 1, 0), (SPARE_NODES + 3, 1)],
+    )
+    def test_node_count_above_cap_exits_2(self, capsys, monkeypatch, tmp_path, nodes, edges):
+        # rejected before any graph is built, so the test allocates nothing
+        def refuse(*args):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(Multidigraph, "from_edges", refuse)
+        path = tmp_path / "graph.json"
+        edge = {"src": 1, "tgt": 2, "label": "z1"}
+        path.write_text(json.dumps({"nodes": nodes, "edges": [edge] * edges}))
+        code, out, err = run(capsys, ["graph-dot", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error") and "'nodes' exceeds" in err
+
+    def test_node_count_at_cap_is_drawn(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        edge = {"src": 1, "tgt": 2, "label": "z1"}
+        path.write_text(json.dumps({"nodes": SPARE_NODES + 2, "edges": [edge]}))
+        code, out, _ = run(capsys, ["graph-dot", "--input", str(path)])
+        assert code == 0
+        assert f"  {SPARE_NODES + 2} [" in out
 
 
 class TestErrors:
@@ -282,12 +351,12 @@ class TestErrors:
             ),
             ("solve", "[" * 100000 + "]" * 100000, "JSON nested too deeply"),
             (
-                "block-solve",
+                "solve",
                 {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": [1]},
                 "'blocks' must be",
             ),
             (
-                "block-solve",
+                "solve",
                 {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": {"sizes": 1, "m0": 0}},
                 "'sizes' must be",
             ),
@@ -297,10 +366,10 @@ class TestErrors:
                 {"nodes": 2, "edges": [{"src": "1", "tgt": 2, "label": "z1"}]},
                 "an edge needs integer 'src'",
             ),
-            ("graph-dot", 5, "a system must be a JSON object"),
+            ("graph-dot", 5, "a graph must be an object"),
             ("solve", {"variables": ["x1"], "b": ["1"]}, "'A' must be"),
             (
-                "block-solve",
+                "solve",
                 {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": {"sizes": [1]}},
                 "integer 'm0'",
             ),
@@ -311,6 +380,46 @@ class TestErrors:
             ),
             ("graph-dot", {"nodes": 3}, "'edges' must be"),
             ("graph-dot", {"edges": []}, "integer 'nodes'"),
+            ("graph-dot", {"nodes": True, "edges": []}, "integer 'nodes'"),
+            (
+                "graph-dot",
+                {"nodes": 2, "edges": [{"src": True, "tgt": 2, "label": "z1"}]},
+                "an edge needs integer 'src'",
+            ),
+            (
+                "graph-dot",
+                {"nodes": 2, "edges": [{"src": 2, "tgt": True, "label": "z1"}]},
+                "an edge needs integer 'src', 'tgt'",
+            ),
+            (
+                "certify",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"],
+                 "blocks": {"sizes": [True], "m0": 0}},
+                "'sizes' must be an array of integers",
+            ),
+            (
+                "certify",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"],
+                 "blocks": {"sizes": [1], "m0": 0, "j": [True]}},
+                "'j' must be an array of integers",
+            ),
+            (
+                "certify",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"],
+                 "blocks": {"sizes": [1], "m0": 0, "j": False}},
+                "'j' must be an array of integers",
+            ),
+            (
+                "solve",
+                {"variables": ["x1"], "A": [["z1"]], "b": ["1"], "blocks": None},
+                "'blocks' must be",
+            ),
+            (
+                "certify",
+                {"variables": ["x1", "x2", "x3"], "A": [["z1", "0", "0"]] * 3,
+                 "b": ["1", "0", "0"], "blocks": {"sizes": [2], "m0": True}},
+                "integer 'm0'",
+            ),
         ],
         ids=[
             "top-level-list",
@@ -328,6 +437,14 @@ class TestErrors:
             "edge-missing-src",
             "graph-missing-edges",
             "graph-missing-nodes",
+            "graph-nodes-true",
+            "edge-src-true",
+            "edge-tgt-true",
+            "sizes-true",
+            "j-true",
+            "j-false",
+            "blocks-null",
+            "m0-true",
         ],
     )
     def test_wrong_shape_exits_2(self, capsys, tmp_path, command, data, message):
@@ -353,14 +470,14 @@ class TestErrors:
             ("graph-dot", {"nodes": 0, "edges": []}, [], "node_count must be at least 1"),
             ("solve", {"variables": ["x1"], "A": [["z1", "z2"]], "b": ["1"]}, [], "shape"),
             (
-                "block-solve",
+                "solve",
                 {"variables": ["x1"], "A": [["z1"]], "b": ["1"],
                  "blocks": {"sizes": [1], "m0": 0, "j": [2]}},
                 [],
                 "distinguished row 2 outside block 1",
             ),
             (
-                "block-solve",
+                "solve",
                 {"variables": ["x1", "x2"], "A": [["z1", "0"], ["0", "z2"]], "b": ["1", "1"],
                  "blocks": {"sizes": [2], "m0": 0}},
                 [],
@@ -378,6 +495,20 @@ class TestErrors:
                 "bad variable name 'T-1'",
             ),
             ("crn-param", "x1 -> x1 ; k1\n", ["--solve-for", "x1"], "coincide"),
+            (
+                "certify",
+                {"variables": ["x1", "x2"], "A": [["z1", "z2"], ["0", "z3"]], "b": ["1", "0"],
+                 "blocks": {"sizes": [1], "m0": 1}},
+                [],
+                "entry (1, 2) lies outside block 1 but is nonzero",
+            ),
+            (
+                "solve",
+                {"variables": ["x1", "x2"], "A": [["z1", "z2"], ["0", "z3"]], "b": ["1", "0"],
+                 "blocks": {"sizes": [2], "m0": 1}},
+                [],
+                "block sizes do not cover the system",
+            ),
         ],
         ids=[
             "graph-self-loop",
@@ -391,6 +522,8 @@ class TestErrors:
             "drop-token",
             "conserve-total-name",
             "empty-reaction",
+            "entry-outside-block",
+            "sizes-not-covering",
         ],
     )
     def test_input_fault_exits_2(self, capsys, tmp_path, command, text, flags, message):
@@ -436,6 +569,68 @@ class TestErrors:
         assert json.loads(out_path.read_text())["solution"]
 
 
+# Values that replace a part of an input: none of them is the right JSON type
+# everywhere, and the strings are no polynomials.
+JUNK = [None, True, 2**40, -(2**40), "", "1/0", "z1^", [], ["z1", 1], {}, {"m0": 0}]
+
+
+def json_paths(value, path=()):
+    """Every path from the root of ``value`` to a value below it."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutate(rng, data):
+    """A copy of ``data`` with one to three values replaced by junk or deleted."""
+    data = json.loads(json.dumps(data))
+    for _ in range(rng.randint(1, 3)):
+        paths = list(json_paths(data))
+        if not paths:
+            break
+        *head, key = rng.choice(paths)
+        parent = data
+        for step in head:
+            parent = parent[step]
+        # a huge node count is the cap test's; here it would only allocate
+        junk = [v for v in JUNK if key != "nodes" or v != 2**40]
+        if rng.random() < 0.25:
+            del parent[key]
+        else:
+            parent[key] = rng.choice(junk)
+    return data
+
+
+class TestFuzz:
+    def test_mutated_inputs_keep_the_exit_contract(self, capsys, tmp_path, three_var_system):
+        # exit 3 is a fault of the program; no malformed input may reach it
+        graph = {"nodes": 3, "edges": [{"src": 1, "tgt": 2, "label": "-z1"},
+                                       {"src": 2, "tgt": 3, "label": "z2"}]}
+        cases = [
+            (system_to_json(three_var_system), ["solve", "certify"]),
+            (ZERO_BLOCK, ["solve", "certify", "block-certify"]),
+            (graph, ["graph-dot"]),
+        ]
+        rng = random.Random(36)
+        path = tmp_path / "input.json"
+        codes = []
+        for _ in range(100):
+            for data, commands in cases:
+                path.write_text(json.dumps(mutate(rng, data)))
+                for command in commands:
+                    code, _, err = run(capsys, [command, "--input", str(path)])
+                    assert code in (0, 1, 2), (command, path.read_text(), err)
+                    assert code != 2 or err.startswith("input error"), err
+                    codes.append(code)
+        assert {0, 2} <= set(codes)
+
+
 class TestOptions:
     @pytest.mark.parametrize(
         "argv",
@@ -448,6 +643,7 @@ class TestOptions:
             ["certify", "--nodes", "3"],
             ["solve", "--seed", "1"],
             ["solve", "--permute-rows", "2,1,3"],
+            ["block-solve"],
         ],
     )
     def test_flag_the_command_ignores_is_rejected(self, capsys, argv):
@@ -464,9 +660,7 @@ class TestOptions:
         parser = cli.build_parser()
         for argv in commands:
             assert parser.parse_args(argv).command == argv[0]
-        assert {argv[0] for argv in commands} == {
-            "solve", "certify", "block-solve", "block-certify", "crn-param", "graph-dot",
-        }
+        assert {argv[0] for argv in commands} == {"solve", "certify", "crn-param", "graph-dot"}
         # the options table lists each subcommand's long options and formats
         section = readme.split("## Command line\n")[1].split("\n## ")[0]
         table = {
@@ -486,3 +680,9 @@ class TestOptions:
             formats = re.search(r"`--format ([a-z\\|]+)`", table[name])
             listed = tuple(formats.group(1).split("\\|")) if formats else None
             assert listed == options.get("--format"), name
+
+    def test_block_certify_is_an_alias_of_certify(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sub.choices["block-certify"] is sub.choices["certify"]

@@ -82,8 +82,8 @@ def test_certify_output_matches_golden(tmp_path, name):
 
 
 def test_no_block_realization_is_the_bordered_matrix():
-    # certify runs the block pipeline with no blocks, while solve --format dot
-    # and graph-dot draw the bordered matrix: both must be the same matrix
+    # certify runs the block pipeline with no blocks, and solve --format dot
+    # draws that realization: both must be the bordered matrix
     systems = [system_from_json(rec["input"]) for rec in RECORDS.values()]
     rng = random.Random(33)
     systems += [random_int_system(rng) for _ in range(60)]
