@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Positive steady-state parameterization of a mass-action reaction network.
 
-Eleven reactions on six species, two conserved totals.  Treating one
-concentration as a parameter and swapping redundant equilibrium equations for
-a conservation relation yields a block linear system; its certified solution
-is a one-parameter family of positive steady states.
+Eleven reactions on six species, two conserved totals.  Choosing five
+concentrations as the unknowns makes the sixth a parameter, and swapping one
+equilibrium equation for a conservation relation yields a block linear
+system; its certified solution is a one-parameter family of positive steady
+states.
 """
 
 from fractions import Fraction
@@ -46,13 +47,13 @@ for law in conservation_laws(net):
     )
     print("   ", terms, "= const")
 
-# 3. Fix x5 as the parameter, replace the x4 equation by the first
-#    conservation relation (total T1), and drop the redundant x5 equation.
+# 3. Solve for every concentration but x5, which becomes the parameter and
+#    whose equation is left out, and replace the x4 equation by the first
+#    conservation relation (total T1).  That law conserves x1..x4, so they
+#    form one block with the x4 row distinguished, and x6 is the tail.
 task = SteadyStateTask(
     solve_for=("x1", "x2", "x3", "x4", "x6"),
-    parameters=("x5",),
     conservation=(ConservationUse(replaces_row=4, law_index=1, total="T1"),),
-    drop=(5,),
 )
 report = parameterize(net, task)
 print("\ncertified:", report.certified)

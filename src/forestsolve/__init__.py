@@ -98,7 +98,6 @@ from .crn import (
     mass_action_odes,
     parameterize,
     parse_network,
-    propose_blocks,
 )
 
 __version__ = "0.1.0"

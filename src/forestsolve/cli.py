@@ -190,17 +190,9 @@ def _cmd_crn_param(args) -> int:
             crn.ConservationUse(int(row), int(law), total)
             for law, total, row in (tok.split(":") for tok in args.conserve or [])
         )
-        drop = tuple(int(tok) for tok in args.drop or [])
     except ValueError as exc:
-        raise InputError(
-            f"--conserve takes LAW:TOTAL:ROW and --drop ROW, LAW and ROW integers: {exc}"
-        ) from None
-    task = crn.SteadyStateTask(
-        solve_for=tuple((args.solve_for or "").split(",")) if args.solve_for else (),
-        parameters=tuple(args.parameters.split(",")) if args.parameters else (),
-        conservation=conservation,
-        drop=drop,
-    )
+        raise InputError(f"--conserve takes LAW:TOTAL:ROW, LAW and ROW integers: {exc}") from None
+    task = crn.SteadyStateTask(tuple(args.solve_for.split(",")), conservation=conservation)
     report = crn.parameterize(net, task)
     if args.format == "dot" and report.witness is not None:
         _write_output(multigraph.to_dot(report.witness.graph), args.output)
@@ -267,15 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crn-param", help="steady-state parameterization")
     _add_io(p, "json", "dot")
-    p.add_argument("--solve-for", dest="solve_for", default=None)
-    p.add_argument("--parameters", default=None)
+    p.add_argument("--solve-for", dest="solve_for", required=True)
     p.add_argument(
         "--conserve",
         action="append",
         metavar="LAW:TOTAL:ROW",
         help="use conservation law LAW as total TOTAL replacing row ROW",
     )
-    p.add_argument("--drop", action="append", metavar="ROW")
     p.set_defaults(func=_cmd_crn_param)
 
     p = sub.add_parser("graph-dot", help="DOT rendering of a graph")

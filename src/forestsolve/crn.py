@@ -2,10 +2,12 @@
 
 Networks are parsed from a one-reaction-per-line text format; the mass-action
 differential equations and the integer conservation laws follow from the
-stoichiometric matrix.  Declaring some species as parameters and swapping
-redundant equilibrium equations for conservation relations yields a square
-linear system in the remaining concentrations, which is handed to the block
-certification machinery to produce a certified positive parameterization.
+stoichiometric matrix.  A task names its unknowns and the conservation
+relations that replace some of their equations; every other species is a
+parameter, and its equation is left out.  Each unknown keeps one equation,
+so the system is square, and each conservation relation makes one block of
+the unknowns it conserves.  The block certification machinery then turns
+the system into a certified positive parameterization.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .blocksys import (
     BlockHypothesisError,
     BlockStructure,
     certify_block_nonneg,
+    validate_block_form,
     zero_components,
 )
 from .linsys import LinearSystem, SingularSystemError
@@ -256,7 +259,7 @@ def _row_reduce(
 
 @dataclass(frozen=True)
 class ConservationUse:
-    """Replace the equation of one species row by a conservation relation."""
+    """Replace the equation of one unknown by a conservation relation."""
 
     replaces_row: int  # 1-based species index of the replaced equation
     law_index: int  # 1-based index into conservation_laws(net)
@@ -265,10 +268,20 @@ class ConservationUse:
 
 @dataclass(frozen=True)
 class SteadyStateTask:
+    """The unknowns and the conservation relations that replace some of
+    their equations; every other species is a parameter, and its row is left
+    out.
+
+    ``parameters`` and ``drop`` (1-based species rows) restate those derived
+    values.  Empty means derived, and a given value must equal the derived
+    one.  They remain only because the benchmark's worker passes them, and
+    go when that worker next changes.
+    """
+
     solve_for: tuple[str, ...]
     parameters: tuple[str, ...] = ()
     conservation: tuple[ConservationUse, ...] = ()
-    drop: tuple[int, ...] = ()  # 1-based species rows removed outright
+    drop: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -309,103 +322,58 @@ def _linear_row(
 def build_steady_system(
     net: Network, task: SteadyStateTask, odes: Sequence[Polynomial]
 ) -> tuple[LinearSystem, BlockStructure]:
-    """Square steady-state system in the chosen unknowns, plus a block proposal.
+    """Square steady-state system in the chosen unknowns, and its law blocks.
 
-    Rows follow species order: each kept species row is its equilibrium
-    equation, conservation substitutions replace their rows, and dropped rows
-    are removed.  Every species must be an unknown or a parameter.  ``odes``
-    are the network's :func:`mass_action_odes`.
+    Row i is the equation of unknown i: the equilibrium equation of its
+    species, or the conservation relation that replaces that row.  Each
+    conservation relation makes one block, the unknowns in its law's support
+    with the replaced row distinguished; the other unknowns are the tail.
+    Unknowns are laid out block by block, in ``solve_for`` order within
+    each.  ``odes`` are the network's :func:`mass_action_odes`.
     """
-    names = set(net.species)
-    unknowns = list(task.solve_for)
-    if set(unknowns) | set(task.parameters) != names or set(unknowns) & set(
-        task.parameters
-    ):
-        raise InputError("unknowns and parameters must partition the species")
-    replaced = {u.replaces_row: u for u in task.conservation}
-    dropped = set(task.drop)
-    if dropped & set(replaced):
-        raise InputError("a row cannot be both dropped and replaced")
-    n_species = len(net.species)
-    for row in sorted(dropped | set(replaced)):
-        if not (1 <= row <= n_species):
-            raise InputError(f"row {row} is not a species row")
+    unknowns = task.solve_for
+    for name in unknowns:
+        if name not in net.species:
+            raise InputError(f"unknown {name!r} is not a species")
+        if unknowns.count(name) > 1:
+            raise InputError(f"unknown {name} is listed twice")
+    parameters = tuple(s for s in net.species if s not in unknowns)
+    rows_out = tuple(net.species_index(s) + 1 for s in parameters)
+    if task.parameters not in ((), parameters) or task.drop not in ((), rows_out):
+        raise InputError(f"the parameters are {parameters}; their rows {rows_out} are left out")
     laws = conservation_laws(net)
+    equations = {u: odes[net.species_index(u)] for u in unknowns}
+    groups: list[list[str]] = []
+    j: list[int] = []
     for use in task.conservation:
         if not (1 <= use.law_index <= len(laws)):
             raise InputError(
                 f"conservation law {use.law_index} does not exist "
                 f"({len(laws)} available)"
             )
-
-    rows: list[list[Polynomial]] = []
-    consts: list[Polynomial] = []
-    conservation_rows: list[int] = []
-    for s in range(1, len(net.species) + 1):
-        if s in dropped:
-            continue
-        if s in replaced:
-            use = replaced[s]
-            law = laws[use.law_index - 1]
-            expr = poly_sum(
-                [c * Polynomial.variable(x) for c, x in zip(law, net.species) if c]
-                + [-Polynomial.variable(use.total)]
+        law = laws[use.law_index - 1]
+        members = [u for u in unknowns if law[net.species_index(u)]]
+        row = use.replaces_row
+        replaced = net.species[row - 1] if 1 <= row <= len(net.species) else None
+        if replaced not in members:
+            raise InputError(
+                f"conservation law {use.law_index} replaces row {row}, "
+                "which is not the row of an unknown it conserves"
             )
-            conservation_rows.append(len(rows) + 1)
-        else:
-            expr = odes[s - 1]
-        coeffs, constant = _linear_row(expr, unknowns)
-        rows.append(coeffs)
-        consts.append(constant)
-    if len(rows) != len(unknowns):
-        raise InputError(
-            f"{len(rows)} equations retained for {len(unknowns)} unknowns"
+        shared = [u for group in groups for u in group if u in members]
+        if shared:
+            raise InputError(f"two conservation laws share the unknown {shared[0]}")
+        equations[replaced] = poly_sum(
+            [c * Polynomial.variable(x) for c, x in zip(law, net.species) if c]
+            + [-Polynomial.variable(use.total)]
         )
-    system = LinearSystem.build(unknowns, rows, consts)
-    return system, propose_blocks(system)
-
-
-def propose_blocks(system: LinearSystem) -> BlockStructure:
-    """Greedy consecutive-block proposal from the row/column support.
-
-    Grows each block until its rows' support closes; rows reaching back into
-    earlier columns, or blocks with two nonzero constants, end the scan and
-    everything from there on becomes the tail.  A block may close at row m,
-    leaving an empty tail, once another block precedes it; a block that would
-    span every row ends the scan, so such a system gets no blocks.
-    """
-    m = system.m
-    sizes: list[int] = []
-    j: list[int] = []
-    start = 1
-    while start <= m:
-        end = start
-        while True:
-            cols = [
-                c + 1
-                for r in range(start, end + 1)
-                for c in range(m)
-                if not system.a[r - 1][c].is_zero()
-            ]
-            if cols and min(cols) < start:
-                end = m + 1  # reaches back: not separable, goes to the tail
-                break
-            new_end = max([end] + cols)
-            if new_end == end:
-                break
-            end = new_end
-        if end > m or (end == m and not sizes):
-            break  # tail absorbs the rest
-        nonzero_b = [
-            r for r in range(start, end + 1) if not system.b[r - 1].is_zero()
-        ]
-        if len(nonzero_b) > 1:
-            break
-        sizes.append(end - start + 1)
-        j.append(nonzero_b[0] if nonzero_b else start)
-        start = end + 1
-    m0 = m - sum(sizes)
-    return BlockStructure(tuple(sizes), m0, tuple(j))
+        j.append(sum(map(len, groups)) + members.index(replaced) + 1)
+        groups.append(members)
+    tail = [u for u in unknowns if not any(u in group for group in groups)]
+    order = [u for group in groups for u in group] + tail
+    rows = [_linear_row(equations[u], order) for u in order]
+    system = LinearSystem.build(order, [a for a, _ in rows], [b for _, b in rows])
+    return system, BlockStructure(tuple(map(len, groups)), len(tail), tuple(j))
 
 
 _DROP_TRIALS = 5
@@ -413,23 +381,25 @@ _DROP_SEED = 0
 
 
 def validate_dropped_rows(
-    odes: Sequence[Polynomial], task: SteadyStateTask, system: LinearSystem
+    net: Network, odes: Sequence[Polynomial], system: LinearSystem
 ) -> list[str]:
-    """Sanity check that dropped equations are implied by the retained ones.
+    """Sanity check that the left-out equations are implied by the system's.
 
-    ``odes`` are the network's :func:`mass_action_odes` and ``system`` is the
-    task's steady-state system (:func:`build_steady_system`).
-    The dropped equilibrium rows must lie in the rational row span of its
-    rows (with constants).  Checked at ``_DROP_TRIALS`` random positive
-    instantiations of all symbols, drawn from a fixed seed; a pragmatic
-    surrogate for symbolic dependence.  The retained rows are reduced once per
-    point; a dropped row is independent iff its residual against them is nonzero.
+    ``odes`` are the network's :func:`mass_action_odes` and ``system`` is a
+    steady-state system (:func:`build_steady_system`); the rows of the
+    species that are not its unknowns were left out.  They must lie in the
+    rational row span of its rows (with constants).  Checked at
+    ``_DROP_TRIALS`` random positive instantiations of all symbols, drawn
+    from a fixed seed; a pragmatic surrogate for symbolic dependence.  The
+    system's rows are reduced once per point; a left-out row is independent
+    iff its residual against them is nonzero.
     """
-    unknowns = list(task.solve_for)
     dropped_rows = []
-    for s in task.drop:
+    for s, name in enumerate(net.species, 1):
+        if name in system.variables:
+            continue
         try:
-            coeffs, constant = _linear_row(odes[s - 1], unknowns)
+            coeffs, constant = _linear_row(odes[s - 1], system.variables)
         except NonlinearSystemError as exc:
             return [f"dropped row {s}: {exc}"]
         dropped_rows.append((s, coeffs + [constant]))
@@ -469,38 +439,38 @@ def parameterize(
 ) -> ParameterizationReport:
     """Certified steady-state parameterization of the unknown concentrations.
 
-    Builds the linear system, validates the dropped rows, and runs the block
-    certification on ``blocks`` (the proposed blocks when None), which tries
-    the one column-sum realization; the report carries either the certified
-    expressions (one per unknown, in the rates, parameters, and totals) or
-    diagnostics.
+    Builds the linear system, validates the left-out rows, and runs the
+    block certification on ``blocks`` (the law blocks when None), which
+    tries the one column-sum realization; the report carries either the
+    certified expressions (one per unknown, in the rates, parameters, and
+    totals) or diagnostics.  Blocks the system is not in the block form of
+    are a refusal, with the violations as diagnostics.
     """
-    diagnostics: list[str] = []
     odes = mass_action_odes(net)
-    system, proposal = build_steady_system(net, task, odes)
+    system, law_blocks = build_steady_system(net, task, odes)
     if blocks is None:
-        blocks = proposal
-    diagnostics.extend(validate_dropped_rows(odes, task, system))
+        blocks = law_blocks
+    diagnostics = tuple(validate_dropped_rows(net, odes, system))
+
+    def refusal(*reasons: str) -> ParameterizationReport:
+        return ParameterizationReport(
+            False, system, blocks, None, None, frozenset(), diagnostics + reasons
+        )
+
+    problems = validate_block_form(system, blocks)
+    if problems:
+        return refusal(*(f"not in block form: {p}" for p in problems))
     try:
         outcome = certify_block_nonneg(system, blocks)
     except BlockHypothesisError as exc:
-        return ParameterizationReport(
-            False, system, blocks, None, None, frozenset(),
-            tuple(diagnostics + [f"hypothesis failed: {p}" for p in exc.problems]),
-        )
+        return refusal(*(f"hypothesis failed: {p}" for p in exc.problems))
     except SingularSystemError as exc:
-        return ParameterizationReport(
-            False, system, blocks, None, None, frozenset(),
-            tuple(diagnostics + [f"singular system: {exc}"]),
-        )
+        return refusal(f"singular system: {exc}")
     if outcome is None:
-        return ParameterizationReport(
-            False, system, blocks, None, None, frozenset(),
-            tuple(diagnostics + ["no certificate graph found"]),
-        )
+        return refusal("no certificate graph found")
     solution, witness = outcome
     zero_set = zero_components(witness, blocks)
-    named = dict(zip(task.solve_for, solution.components))
+    named = dict(zip(system.variables, solution.components))
     return ParameterizationReport(
-        True, system, blocks, named, witness, zero_set, tuple(diagnostics)
+        True, system, blocks, named, witness, zero_set, diagnostics
     )

@@ -148,49 +148,39 @@ def nsite_text(n: int) -> str:
 def nsite_network_and_task(n: int):
     """The network of :func:`nsite_text` and its parameterization task.
 
-    The unknowns are E, ES0..ES(n-1), F, FS1..FSn; the substrates S0..Sn are
-    parameters, the two enzyme totals replace rows E and F, and the
-    substrate rows are dropped.
+    The unknowns are E, ES0..ES(n-1), F, FS1..FSn, so the substrates S0..Sn
+    are the parameters and their rows are left out; the two enzyme totals
+    replace rows E and F.
     """
     unknowns = ["E"] + [f"ES{i}" for i in range(n)] + ["F"] + [f"FS{i}" for i in range(1, n + 1)]
-    substrates = [f"S{i}" for i in range(n + 1)]
     net = parse_network(nsite_text(n))
     laws = conservation_laws(net)
     e_law = [int(s == "E" or s.startswith("ES")) for s in net.species]
     f_law = [int(s == "F" or s.startswith("FS")) for s in net.species]
     task = SteadyStateTask(
         solve_for=tuple(unknowns),
-        parameters=tuple(substrates),
         conservation=(
             ConservationUse(1, laws.index(e_law) + 1, "Etot"),
             ConservationUse(n + 2, laws.index(f_law) + 1, "Ftot"),
         ),
-        drop=tuple(range(2 * n + 3, 3 * n + 4)),
     )
     return net, task
 
 
 def nsite_steady_system(n: int):
-    """The n-site task's steady-state system and block proposal."""
+    """The n-site task's steady-state system and its law blocks."""
     net, task = nsite_network_and_task(n)
     return build_steady_system(net, task, mass_action_odes(net))
 
 
 def nsite_crn_param_argv(path, n: int) -> list[str]:
-    """``crn-param`` arguments for the n-site task, with no block flags;
-    the network text is written to ``path``."""
+    """``crn-param`` arguments for the n-site task: the unknowns and the two
+    enzyme laws; the network text is written to ``path``."""
     _, task = nsite_network_and_task(n)
     path.write_text(nsite_text(n))
-    argv = [
-        "crn-param",
-        "--input", str(path),
-        "--solve-for", ",".join(task.solve_for),
-        "--parameters", ",".join(task.parameters),
-    ]
+    argv = ["crn-param", "--input", str(path), "--solve-for", ",".join(task.solve_for)]
     for use in task.conservation:
         argv += ["--conserve", f"{use.law_index}:{use.total}:{use.replaces_row}"]
-    for row in task.drop:
-        argv += ["--drop", str(row)]
     return argv
 
 

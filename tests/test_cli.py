@@ -1,10 +1,12 @@
 """Command-line behaviour: payloads, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 import random
 import re
 import shlex
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +26,6 @@ from forestsolve import (
     parameterize,
     parse_poly,
     pgraph,
-    propose_blocks,
     system_to_json,
 )
 from forestsolve.multigraph import SPARE_NODES
@@ -195,13 +196,9 @@ class TestBlockCommands:
         assert err.startswith("internal invariant failure")
         assert "slip" in err
 
-    def test_certify_reads_blocks(self, capsys, monkeypatch, tmp_path):
+    def test_certify_reads_blocks(self, capsys, tmp_path):
         # with its blocks the system certifies and x1 vanishes; without them
-        # certify runs at d = 0, proposes no blocks, and refuses
-        def refuse(*args):
-            raise RuntimeError("blocks proposed")
-
-        monkeypatch.setattr(crn, "propose_blocks", refuse)
+        # certify runs at d = 0 and refuses
         path = tmp_path / "zero_block.json"
         path.write_text(json.dumps(ZERO_BLOCK))
         code, out, _ = run(capsys, ["certify", "--input", str(path)])
@@ -215,17 +212,20 @@ class TestBlockCommands:
         assert json.loads(out) == {"certified": False, "witness": None, "solution": None}
 
     def test_crn_param_proposes_blocks(self, capsys, monkeypatch, tmp_path):
-        proposals = []
+        # the blocks are the two enzyme laws' unknowns, with no tail
+        law_blocks = []
 
-        def spy(system):
-            proposals.append(propose_blocks(system))
-            return proposals[-1]
+        def spy(*args):
+            system, blocks = build(*args)
+            law_blocks.append(blocks)
+            return system, blocks
 
-        monkeypatch.setattr(crn, "propose_blocks", spy)
+        build = crn.build_steady_system
+        monkeypatch.setattr(crn, "build_steady_system", spy)
         code, out, _ = run(capsys, nsite_crn_param_argv(tmp_path / "nsite2.txt", 2))
         assert code == 0
         assert json.loads(out)["certified"] is True
-        assert [(b.sizes, b.m0) for b in proposals] == [((3, 3), 0)]
+        assert [(b.sizes, b.m0, b.j) for b in law_blocks] == [((3, 3), 0, (1, 4))]
 
 
 class TestCrnParam:
@@ -238,9 +238,7 @@ class TestCrnParam:
                 "crn-param",
                 "--input", str(net_file),
                 "--solve-for", "x1,x2,x3,x4,x6",
-                "--parameters", "x5",
                 "--conserve", "1:T1:4",
-                "--drop", "5",
             ],
         )
         assert code == 0
@@ -267,6 +265,41 @@ class TestCrnParam:
                 num, _, den = text.removeprefix("(").removesuffix(")").partition(")/(")
                 value = parse_poly(num).evaluate(point) / parse_poly(den or "1").evaluate(point)
                 assert value == expected[name]
+
+
+    def test_shuffled_unknowns_print_the_golden_solution(self, capsys, tmp_path):
+        # rows pair with unknowns by name, so the order of --solve-for does
+        # not move the printed solution
+        argv = nsite_crn_param_argv(tmp_path / "nsite2.txt", 2)
+        at = argv.index("--solve-for") + 1
+        unknowns = argv[at].split(",")
+        random.Random(2).shuffle(unknowns)
+        assert unknowns != argv[at].split(",")
+        argv[at] = ",".join(unknowns)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        golden = (Path(__file__).resolve().parent / "golden" / "nsite2.crn-param.json").read_text()
+        assert json.loads(out)["solution"] == json.loads(golden)["solution"]
+
+    def test_law_block_out_of_block_form_is_a_refusal(self, capsys, tmp_path):
+        # law 2 conserves x1, x2 and x6, but the x2 row reaches x4
+        net_file = tmp_path / "net.txt"
+        net_file.write_text(CRN_TEXT)
+        argv = ["crn-param", "--input", str(net_file), "--solve-for", "x1,x2,x3,x4,x6",
+                "--conserve", "2:T1:1"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["certified"] is False and payload["solution"] is None
+        assert "not in block form: entry (2, 5) lies outside block 1 but is nonzero" in (
+            payload["diagnostics"]
+        )
+
+    def test_solve_for_is_required(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["crn-param", "--input", str(tmp_path / "net.txt")])
+        assert exc.value.code == 2
+        assert "--solve-for" in capsys.readouterr().err
 
 
 class TestGraphDot:
@@ -484,15 +517,20 @@ class TestErrors:
                 "several nonzero constants",
             ),
             ("solve", b"\xff", [], "input is not UTF-8 text"),
-            ("crn-param", CRN_TEXT, ["--solve-for", "x1"], "must partition the species"),
-            ("crn-param", CRN_TEXT, ["--conserve", "1:T1"], "LAW:TOTAL:ROW"),
-            ("crn-param", CRN_TEXT, ["--drop", "five"], "--drop ROW"),
+            ("crn-param", CRN_TEXT, ["--solve-for", "x1,x9"], "unknown 'x9' is not a species"),
+            ("crn-param", CRN_TEXT, ["--solve-for", "x1,x2,x1"], "unknown x1 is listed twice"),
+            ("crn-param", CRN_TEXT, ["--solve-for", "x1", "--conserve", "1:T1"], "LAW:TOTAL:ROW"),
             (
                 "crn-param",
                 CRN_TEXT,
-                ["--solve-for", "x1,x2,x3,x4,x6", "--parameters", "x5",
-                 "--conserve", "1:T-1:4", "--drop", "5"],
+                ["--solve-for", "x1,x2,x3,x4,x6", "--conserve", "1:T-1:4"],
                 "bad variable name 'T-1'",
+            ),
+            (
+                "crn-param",
+                CRN_TEXT,
+                ["--solve-for", "x1,x2,x3,x4,x6", "--conserve", "1:T1:6"],
+                "law 1 replaces row 6, which is not the row of an unknown it conserves",
             ),
             ("crn-param", "x1 -> x1 ; k1\n", ["--solve-for", "x1"], "coincide"),
             (
@@ -517,10 +555,11 @@ class TestErrors:
             "row-outside-block",
             "two-constants-in-block",
             "not-utf8",
-            "task-partition",
+            "unknown-not-a-species",
+            "unknown-listed-twice",
             "conserve-token",
-            "drop-token",
             "conserve-total-name",
+            "law-replaces-foreign-row",
             "empty-reaction",
             "entry-outside-block",
             "sizes-not-covering",
@@ -630,6 +669,27 @@ class TestFuzz:
                     codes.append(code)
         assert {0, 2} <= set(codes)
 
+    def test_crn_param_sweep_keeps_the_exit_contract(self, capsys, tmp_path):
+        # every unknown set of the demo network, with no law or with law 1
+        # or 2 replacing any row (row 7 is past the species); a law block out
+        # of block form is a refusal, never an internal failure
+        path = tmp_path / "net.txt"
+        path.write_text(CRN_TEXT)
+        species = ["x1", "x2", "x3", "x4", "x5", "x6"]
+        laws = [[]] + [["--conserve", f"{law}:T1:{row}"] for law in (1, 2) for row in range(1, 8)]
+        codes, block_form = Counter(), 0
+        for k in range(1, 7):
+            for unknowns in itertools.combinations(species, k):
+                for law in laws:
+                    argv = ["crn-param", "--input", str(path), "--solve-for", ",".join(unknowns)]
+                    code, out, err = run(capsys, argv + law)
+                    assert code in (0, 1, 2), (argv + law, err)
+                    assert code != 2 or err.startswith("input error"), err
+                    codes[code] += 1
+                    block_form += code == 1 and "not in block form" in out
+        assert codes == {0: 44, 1: 127, 2: 774}
+        assert block_form == 96
+
 
 class TestOptions:
     @pytest.mark.parametrize(
@@ -644,6 +704,8 @@ class TestOptions:
             ["solve", "--seed", "1"],
             ["solve", "--permute-rows", "2,1,3"],
             ["block-solve"],
+            ["crn-param", "--solve-for", "x1", "--parameters", "x2"],
+            ["crn-param", "--solve-for", "x1", "--drop", "2"],
         ],
     )
     def test_flag_the_command_ignores_is_rejected(self, capsys, argv):

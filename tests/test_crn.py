@@ -1,6 +1,7 @@
 """Network parsing, mass-action equations, conservation laws, parameterization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,12 @@ from forestsolve import (
     parameterize,
     parse_network,
     parse_poly,
-    propose_blocks,
     rat_equal,
     ratio,
     residual_check,
 )
 from forestsolve import crn
+from forestsolve.symring import InputError
 from forestsolve.crn import validate_dropped_rows
 from forestsolve.linsys import Solution
 from forestsolve.symring import det_matrix
@@ -34,6 +35,7 @@ from conftest import (
     nsite_closed_form,
     nsite_network_and_task,
     nsite_steady_system,
+    nsite_text,
     over_common_denominator,
 )
 
@@ -41,9 +43,7 @@ P = parse_poly
 
 TASK = SteadyStateTask(
     solve_for=("x1", "x2", "x3", "x4", "x6"),
-    parameters=("x5",),
     conservation=(ConservationUse(replaces_row=4, law_index=1, total="T1"),),
-    drop=(5,),
 )
 
 
@@ -183,12 +183,9 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_nsite_proposal_ends_a_block_at_the_last_row(self, n):
-        # the F-block ends at row m after the E-block: no tail is left
+        # one law block for E and its complexes, one for F: no tail is left
         _, blocks = nsite_steady_system(n)
         assert blocks == BlockStructure((n + 1, n + 1), 0, (1, n + 2))
-
-    def test_block_spanning_every_row_is_not_proposed(self, three_var_system):
-        assert propose_blocks(three_var_system) == BlockStructure((), 3, ())
 
     def test_single_species_conservation(self):
         net = parse_network("A <-> A2 ; k1, k2")
@@ -206,10 +203,65 @@ class TestBuildSystem:
         with pytest.raises(NonlinearSystemError):
             build_steady_system(net, task, mass_action_odes(net))
 
-    def test_unknowns_must_cover_species(self, crn_text):
+    @pytest.mark.parametrize(
+        "solve_for, message",
+        [
+            (("x1", "x7"), "unknown 'x7' is not a species"),
+            (("x1", "x2", "x1"), "unknown x1 is listed twice"),
+        ],
+        ids=["not-a-species", "listed-twice"],
+    )
+    def test_unknowns_are_distinct_species(self, crn_text, solve_for, message):
         net = parse_network(crn_text)
-        with pytest.raises(ValueError):
-            build_steady_system(net, SteadyStateTask(solve_for=("x1",)), mass_action_odes(net))
+        with pytest.raises(InputError, match=message):
+            build_steady_system(net, SteadyStateTask(solve_for), mass_action_odes(net))
+
+    def test_parameters_and_left_out_rows_are_derived(self, crn_text):
+        # restating the derived parameters and rows changes nothing; any
+        # other value is an input error
+        net = parse_network(crn_text)
+        odes = mass_action_odes(net)
+        given = SteadyStateTask(TASK.solve_for, ("x5",), TASK.conservation, (5,))
+        assert build_steady_system(net, given, odes) == build_steady_system(net, TASK, odes)
+        for parameters, drop in [(("x6",), ()), ((), (4,)), (("x5", "x6"), (5,))]:
+            task = SteadyStateTask(TASK.solve_for, parameters, TASK.conservation, drop)
+            message = "the parameters are ('x5',); their rows (5,) are left out"
+            with pytest.raises(InputError, match=re.escape(message)):
+                build_steady_system(net, task, odes)
+
+    @pytest.mark.parametrize(
+        "conservation, message",
+        [
+            ((ConservationUse(4, 3, "T"),), "conservation law 3 does not exist"),
+            ((ConservationUse(6, 1, "T"),), "law 1 replaces row 6, which is not the row of"),
+            ((ConservationUse(5, 2, "T"),), "law 2 replaces row 5, which is not the row of"),
+            ((ConservationUse(7, 1, "T"),), "law 1 replaces row 7, which is not the row of"),
+            (
+                (ConservationUse(4, 1, "T"), ConservationUse(6, 2, "U")),
+                "two conservation laws share the unknown x1",
+            ),
+        ],
+        ids=["law-index", "row-off-support", "parameter-row", "row-past-species", "shared"],
+    )
+    def test_conservation_use_checked(self, crn_text, conservation, message):
+        net = parse_network(crn_text)
+        task = SteadyStateTask(TASK.solve_for, conservation=conservation)
+        with pytest.raises(InputError, match=message):
+            build_steady_system(net, task, mass_action_odes(net))
+
+    def test_rows_pair_with_unknowns_by_name(self, crn_text):
+        # any order of the unknowns gives the same law block and tail, in
+        # solve_for order within each, and the same equations
+        net = parse_network(crn_text)
+        odes = mass_action_odes(net)
+        canonical, _ = build_steady_system(net, TASK, odes)
+        shuffled = SteadyStateTask(("x6", "x3", "x1", "x4", "x2"), conservation=TASK.conservation)
+        system, blocks = build_steady_system(net, shuffled, odes)
+        assert system.variables == ("x3", "x1", "x4", "x2", "x6")
+        assert blocks == BlockStructure((4,), 1, (3,))
+        where = [canonical.variables.index(u) for u in system.variables]
+        assert system.a == tuple(tuple(canonical.a[r][c] for c in where) for r in where)
+        assert system.b == tuple(canonical.b[r] for r in where)
 
     def test_proposal_detects_tail_only(self):
         net = parse_network("A <-> B ; k1, k2")
@@ -223,20 +275,18 @@ class TestDroppedRows:
         net = parse_network(crn_text)
         odes = mass_action_odes(net)
         system, _ = build_steady_system(net, TASK, odes)
-        assert validate_dropped_rows(odes, TASK, system) == []
+        assert validate_dropped_rows(net, odes, system) == []
 
     def test_independent_drop_reported(self):
         # the dropped inflow/outflow balance is not implied by the rest
         net = parse_network("A <-> B ; k1, k2\n0 -> C ; k3\nC -> 0 ; k4")
         bad = SteadyStateTask(
             solve_for=("A", "B"),
-            parameters=("C",),
             conservation=(ConservationUse(replaces_row=1, law_index=1, total="T"),),
-            drop=(3,),
         )
         odes = mass_action_odes(net)
         system, _ = build_steady_system(net, bad, odes)
-        problems = validate_dropped_rows(odes, bad, system)
+        problems = validate_dropped_rows(net, odes, system)
         assert problems and "independent" in problems[0]
 
 
@@ -269,16 +319,17 @@ def _sparse_matrices(draw):
     return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=7))
 
 
-def _reference_dropped_rows(net, task, system):
-    """Verdicts by rank: at each sampled point, a dropped row is independent
-    iff appending it to the retained rows raises the rank of the augmented
-    matrix, both reduced from scratch by dense elimination."""
-    unknowns = list(task.solve_for)
+def _reference_dropped_rows(net, system):
+    """Verdicts by rank: at each sampled point, the row of a species that is
+    not an unknown is independent iff appending it to the retained rows
+    raises the rank of the augmented matrix, both reduced from scratch by
+    dense elimination."""
     odes = mass_action_odes(net)
     dropped = []
-    for s in task.drop:
-        coeffs, constant = crn._linear_row(odes[s - 1], unknowns)
-        dropped.append((s, coeffs + [constant]))
+    for s, name in enumerate(net.species, 1):
+        if name not in system.variables:
+            coeffs, constant = crn._linear_row(odes[s - 1], system.variables)
+            dropped.append((s, coeffs + [constant]))
     retained = [list(system.a[r]) + [system.b[r]] for r in range(system.m)]
     symbols = sorted({v for row in retained + [r for _, r in dropped] for p in row for v in p.variables()})
     rng = random.Random(crn._DROP_SEED)
@@ -296,7 +347,7 @@ def _reference_dropped_rows(net, task, system):
 
 
 def _random_linear_network(rng):
-    """Unknowns X1..X3 and parameters P1..Pp, whose rows are dropped.
+    """Unknowns X1..X3, so P1..Pp are parameters and their rows are left out.
 
     Reactions are A -> B between any two species, and P + Xi -> P + Xj.  A
     draw without inflow or outflow conserves the sum of all species, so with
@@ -318,9 +369,7 @@ def _random_linear_network(rng):
     open_system = rng.random() < 0.4
     if open_system:
         lines.append(f"0 -> {rng.choice(species)} ; u")
-    task = SteadyStateTask(
-        solve_for=tuple(unknowns), parameters=tuple(params), drop=tuple(range(4, 4 + p))
-    )
+    task = SteadyStateTask(solve_for=tuple(unknowns))
     return parse_network("\n".join(lines) + "\n"), task, p == 1 and not open_system
 
 
@@ -352,8 +401,8 @@ class TestRowReduce:
             net, task, planted_dependent = _random_linear_network(random.Random(seed))
             odes = mass_action_odes(net)
             system, _ = build_steady_system(net, task, odes)
-            problems = validate_dropped_rows(odes, task, system)
-            assert problems == _reference_dropped_rows(net, task, system), seed
+            problems = validate_dropped_rows(net, odes, system)
+            assert problems == _reference_dropped_rows(net, system), seed
             if planted_dependent:
                 assert problems == [], seed
             verdicts.append(bool(problems))
@@ -464,6 +513,53 @@ class TestParameterize:
         with pytest.raises(NonlinearSystemError) as err:
             parameterize(net, SteadyStateTask(solve_for=("A", "B")))
         assert "A" in str(err.value)
+
+
+def shuffled_nsite(n, rng):
+    """The n-site network with its species line shuffled, and its task with
+    the unknowns shuffled; the task is None when :func:`conservation_laws`
+    does not hold both enzyme laws, which ``--conserve`` must name."""
+    lines = nsite_text(n).splitlines()
+    species = lines[0].removeprefix("species: ").split(", ")
+    rng.shuffle(species)
+    net = parse_network("\n".join(["species: " + ", ".join(species)] + lines[1:]) + "\n")
+    unknowns = list(nsite_network_and_task(n)[1].solve_for)
+    rng.shuffle(unknowns)
+    laws = conservation_laws(net)
+    uses = []
+    for enzyme in "EF":
+        law = [int(s == enzyme or s.startswith(enzyme + "S")) for s in net.species]
+        if law not in laws:
+            return net, None
+        uses.append(ConservationUse(species.index(enzyme) + 1, laws.index(law) + 1, enzyme + "tot"))
+    return net, SteadyStateTask(tuple(unknowns), conservation=tuple(uses))
+
+
+class TestOrderIndependence:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shuffled_nsite_certifies_the_same_solution(self, n):
+        # the task pairs rows with unknowns by name and takes its blocks
+        # from the laws, so neither order moves the certified solution
+        net, task = nsite_network_and_task(n)
+        canonical = {k: str(v) for k, v in parameterize(net, task).solution.items()}
+        names = [f"{k}{i}" for k in "abc" for i in range(n)]
+        names += [f"{k}{i}" for k in "def" for i in range(1, n + 1)]
+        names += [f"S{i}" for i in range(n + 1)] + ["Etot", "Ftot"]
+        rng, values = random.Random(n), random.Random(-n)
+        stated = 0
+        for _ in range(20):
+            net, task = shuffled_nsite(n, rng)
+            if task is None:
+                continue
+            stated += 1
+            report = parameterize(net, task)
+            assert report.certified, (net.species, task)
+            assert {k: str(v) for k, v in report.solution.items()} == canonical
+            point = {v: Fraction(values.randint(1, 30), values.randint(1, 10)) for v in names}
+            expected = nsite_closed_form(n, point)
+            for name, expr in report.solution.items():
+                assert expr.evaluate(point) == expected[name]
+        assert stated == {1: 17, 2: 15, 3: 16, 4: 15}[n]
 
 
 class TestNSite:

@@ -8,8 +8,8 @@ realization for ``solve``, the certificate graph for ``certify``).
 ``block-certify``, another name for ``certify``, prints the same bytes.
 ``nsite2.<command>.json`` pins two certificates on the n-site network at
 n = 2: ``certify`` on its steady-state system with the blocks
-``sizes=(3, 3), m0=0``, and ``crn-param`` on the network, which proposes
-those blocks itself.
+``sizes=(3, 3), m0=0``, and ``crn-param`` on the network given its
+unknowns and the two enzyme laws, whose blocks are those.
 """
 
 import json

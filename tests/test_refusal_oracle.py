@@ -161,8 +161,8 @@ def condition_star_holds(rows, blocks) -> bool:
     """Condition (*) of the block certificate, read from the matrix.
 
     It fails when some distinguished row reaches the source of a negative
-    arc that avoids the bordering node, and that arc's target reaches some
-    variable, every path avoiding the bordering node.
+    arc that avoids the bordering node, every path avoiding the bordering
+    node.
     """
     n = len(rows)
     last = n
@@ -185,7 +185,7 @@ def condition_star_holds(rows, blocks) -> bool:
     for (s, t), label in arcs.items():
         if last in (s, t) or not any(poly_sign(m) == Sign.NONPOS for m in monomial_split(label)):
             continue
-        if any(s in reach(j) for j in blocks.j) and reach(t) & set(range(1, last)):
+        if any(s in reach(j) for j in blocks.j):
             return False
     return True
 
